@@ -56,9 +56,13 @@ cargo test --workspace -q --offline
 echo "==> recovery fault-injection matrix (crash at every WAL byte offset)"
 # Runs in release: the deterministic sweep opens an engine per possible
 # crash point and the randomized differential replays ~25 seeded
-# workloads. Also re-runs the persist store/fault suites at -O to catch
-# release-only ordering bugs in the recovery path.
+# workloads, each also pipelined into group-commit workers. The
+# group_commit suite pins worker-side groups: fsyncs shared across a
+# worker's queue, and a failed flush rolling back every batch it covered.
+# Also re-runs the persist store/fault suites at -O to catch release-only
+# ordering bugs in the recovery path.
 cargo test --release --offline -p stem-engine --test crash_matrix -q
+cargo test --release --offline -p stem-engine --test group_commit -q
 cargo test --release --offline -p stem-engine --test persist -q
 cargo test --release --offline -p stem-persist -q
 # Kill-leader/promote-follower leg: byte-identical leader/follower state

@@ -2,7 +2,6 @@
 //! (buffered and fsync-per-record), snapshot write cost, and end-to-end
 //! engine recovery time from a log tail versus from a checkpoint.
 
-use std::path::PathBuf;
 use stem_bench::harness::{BenchmarkId, Criterion};
 use stem_bench::{criterion_group, criterion_main};
 use stem_core::{Value, VarId};
@@ -10,12 +9,7 @@ use stem_engine::{Command, DurabilityOptions, Engine, EngineConfig, SessionId, S
 use stem_persist::{
     PersistCommand, PersistSource, Snapshot, Store, StoreOptions, SyncPolicy, WalRecord,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-bench-persist-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn sample_record(seq: u64) -> WalRecord {
     WalRecord::Batch {
@@ -45,7 +39,7 @@ fn wal_append(c: &mut Criterion) {
         ("deferred", SyncPolicy::Deferred),
         ("fsync", SyncPolicy::Always),
     ] {
-        let dir = temp_dir(label);
+        let dir = TempDir::new(label);
         let (mut store, _) = Store::open(
             &dir,
             StoreOptions {
@@ -63,14 +57,13 @@ fn wal_append(c: &mut Criterion) {
             })
         });
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }
 
 /// Snapshot write cost for a 1000-variable session image.
 fn snapshot_write(c: &mut Criterion) {
-    let dir = temp_dir("snapshot");
+    let dir = TempDir::new("snapshot");
     let (mut store, _) = Store::open(&dir, StoreOptions::default()).expect("open store");
     let state = {
         // A realistic image is produced by gathering a live network; for
@@ -98,15 +91,14 @@ fn snapshot_write(c: &mut Criterion) {
         })
     });
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Builds a durable engine directory: one session, a 50-variable
 /// equality chain, then `batches` single-`Set` commits. With
 /// `checkpointed`, a snapshot covers everything and the log tail is
 /// empty; otherwise recovery replays every batch.
-fn build_recovery_dir(tag: &str, batches: usize, checkpointed: bool) -> PathBuf {
-    let dir = temp_dir(tag);
+fn build_recovery_dir(tag: &str, batches: usize, checkpointed: bool) -> TempDir {
+    let dir = TempDir::new(tag);
     let engine = Engine::open_with_config(
         &dir,
         EngineConfig {
@@ -181,7 +173,6 @@ fn recovery_time(c: &mut Criterion) {
                 stem_bench::harness::BatchSize::PerIteration,
             )
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }

@@ -49,10 +49,13 @@ pub enum Durability {
         interval: Duration,
     },
     /// Commit-sync durability with shared fsyncs: every acknowledged
-    /// commit is on disk before the ack, but concurrent committers ride
-    /// the same flush through a [`stem_persist::GroupCommit`] coordinator
-    /// — one fsync covers every record appended while it was pending.
-    /// Same guarantee as [`Durability::CommitSync`], amortised cost.
+    /// commit is on disk before the ack, but commits ride the same flush
+    /// through a [`stem_persist::GroupCommit`] coordinator — one fsync
+    /// covers every record appended while it was pending. A worker drains
+    /// its queue into a group (one batch per session at a time), appends
+    /// every record, and waits once for all of them; workers waiting at
+    /// the same time share the flush too. Same guarantee as
+    /// [`Durability::CommitSync`], amortised cost.
     GroupCommit,
 }
 

@@ -3,11 +3,12 @@
 //! acknowledged history — never a half-applied batch, never a batch the
 //! engine reported as failed and rolled back.
 //!
-//! Two parts:
+//! Three parts:
 //! - a deterministic sweep over *every* byte budget of a scripted
-//!   workload, and
+//!   workload,
 //! - a seeded randomized differential over generated workloads and
-//!   random crash points.
+//!   random crash points, and
+//! - a pipelined group-commit leg (see [`pipelined_crash_point`]).
 //!
 //! The acceptance predicate: the recovered engine equals the in-memory
 //! reference after `k` acknowledged batches, where `k = acked` or
@@ -17,7 +18,6 @@
 //! finds the whole record. What can never happen is a *partial* batch.
 
 use std::fs;
-use std::path::PathBuf;
 
 use stem_core::{Justification, Value, VarId};
 use stem_engine::{
@@ -25,14 +25,9 @@ use stem_engine::{
     Output, SessionId, Source,
 };
 use stem_persist::{failing_factory, ByteBudget};
+use stem_testkit::TempDir;
 
 const SESSIONS: u64 = 2;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-crash-matrix-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -240,7 +235,7 @@ fn drive(engine: &Engine, workload: Workload) -> DriveResult {
 /// and demand the recovered state equal a whole-batch prefix consistent
 /// with what was acknowledged.
 fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() -> Workload) {
-    let dir = temp_dir(tag);
+    let dir = TempDir::new(tag);
     let budget = ByteBudget::new(budget_bytes as u64);
     let failing = DurabilityOptions {
         file_factory: Some(failing_factory(budget)),
@@ -311,12 +306,11 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
         result.acked + 1,
         result.persist_failed,
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Disk footprint of the full scripted workload, measured on real files.
 fn full_run_bytes(make_workload: impl Fn() -> Workload) -> usize {
-    let dir = temp_dir("measure");
+    let dir = TempDir::new("measure");
     let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
     for _ in 0..SESSIONS {
         engine.create_session();
@@ -328,7 +322,6 @@ fn full_run_bytes(make_workload: impl Fn() -> Workload) -> usize {
         .unwrap()
         .map(|e| e.unwrap().metadata().unwrap().len())
         .sum();
-    let _ = fs::remove_dir_all(&dir);
     total as usize
 }
 
@@ -566,6 +559,119 @@ fn randomized_kill_recover_differential() {
         for _ in 0..6 {
             let budget = rng.below(total + 50);
             check_crash_point(&format!("rand{seed}"), budget, make);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pipelined group-commit leg
+// ---------------------------------------------------------------------
+
+/// Each session's observable state after every prefix of its own batch
+/// stream: `prefixes[s][j]` is session `s` after its first `j` batches
+/// (rejected ones included — they are rejected in the replay too).
+fn per_session_prefixes(workload: Workload) -> Vec<Vec<Observed>> {
+    let engine = Engine::with_config(config());
+    for _ in 0..SESSIONS {
+        engine.create_session();
+    }
+    let mut prefixes: Vec<Vec<Observed>> = (0..SESSIONS)
+        .map(|s| vec![observe(&engine, SessionId(s))])
+        .collect();
+    for (s, batch) in workload {
+        let _ = engine.apply(SessionId(s), batch);
+        prefixes[s as usize].push(observe(&engine, SessionId(s)));
+    }
+    prefixes
+}
+
+/// The pipelined leg: a group-commit engine at `workers` gets the whole
+/// workload as tickets before any is redeemed, so workers drain queues
+/// and a failed flush fails a whole group. Recovery must leave each
+/// session equal to a prefix of its own batch stream that contains every
+/// batch acked to it. (Sessions are independent, so a global prefix is
+/// not required: one session's group may be durable while another's
+/// failed.)
+fn pipelined_crash_point(
+    tag: &str,
+    workers: usize,
+    budget_bytes: usize,
+    make_workload: impl Fn() -> Workload,
+    prefixes: &[Vec<Observed>],
+) {
+    let dir = TempDir::new(tag);
+    let config = EngineConfig {
+        workers,
+        ..EngineConfig::default()
+    };
+    let group_opts = || DurabilityOptions {
+        mode: Durability::GroupCommit,
+        ..opts()
+    };
+    let failing = DurabilityOptions {
+        file_factory: Some(failing_factory(ByteBudget::new(budget_bytes as u64))),
+        ..group_opts()
+    };
+    // Per session: how many of its batches precede its last ack.
+    let mut must_cover = vec![0usize; SESSIONS as usize];
+    if let Ok(engine) = Engine::open_with_config(&dir, config, failing) {
+        for _ in 0..SESSIONS {
+            engine.create_session();
+        }
+        let tickets: Vec<_> = make_workload()
+            .into_iter()
+            .map(|(s, batch)| (s as usize, engine.submit(SessionId(s), batch)))
+            .collect();
+        let mut seen = vec![0usize; SESSIONS as usize];
+        for (s, ticket) in tickets {
+            seen[s] += 1;
+            if ticket.wait().is_ok() {
+                must_cover[s] = seen[s];
+            }
+        }
+        engine.shutdown();
+    }
+    let engine = Engine::open_with_config(&dir, config, group_opts()).unwrap();
+    for s in 0..SESSIONS as usize {
+        let recovered = observe(&engine, SessionId(s as u64));
+        assert!(
+            prefixes[s][must_cover[s]..].contains(&recovered),
+            "{tag}: workers {workers}, budget {budget_bytes}: session {s} recovered \
+             no prefix of its stream that covers its {} acked batches\n\
+             recovered: {recovered:?}",
+            must_cover[s],
+        );
+    }
+}
+
+#[test]
+fn pipelined_group_commit_recovers_a_per_session_prefix() {
+    for workers in [1, 2] {
+        for (name, make) in [
+            ("pipe-script", scripted_workload as fn() -> Workload),
+            ("pipe-domain", domain_workload),
+        ] {
+            let prefixes = per_session_prefixes(make());
+            let total = full_run_bytes(make);
+            for budget in 0..=total {
+                pipelined_crash_point(name, workers, budget, make, &prefixes);
+            }
+        }
+        for seed in 0..25u64 {
+            let make = || random_workload(seed);
+            let prefixes = per_session_prefixes(make());
+            let total = full_run_bytes(make);
+            let mut rng = Rng(seed.wrapping_mul(0x2545F4914F6CDD1D) + workers as u64);
+            for _ in 0..6 {
+                let budget = rng.below(total + 50);
+                pipelined_crash_point(
+                    &format!("pipe-rand{seed}"),
+                    workers,
+                    budget,
+                    make,
+                    &prefixes,
+                );
+            }
         }
     }
 }

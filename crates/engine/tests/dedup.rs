@@ -3,8 +3,6 @@
 //! that resends a batch after a reconnect must never double-apply it, and
 //! a deposed leader must never ack a write the new leader cannot see.
 
-use std::fs;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -13,12 +11,7 @@ use stem_engine::{
     BatchError, Command, Durability, DurabilityOptions, Engine, EngineConfig, Output, SessionId,
     Source,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-engine-dedup-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -123,7 +116,7 @@ fn failed_batches_do_not_burn_their_key() {
 /// still cannot double-apply.
 #[test]
 fn dedup_watermark_survives_reopen() {
-    let dir = temp_dir("reopen");
+    let dir = TempDir::new("reopen");
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
         let s = engine.create_session();
@@ -151,7 +144,6 @@ fn dedup_watermark_survives_reopen() {
         assert_eq!(value_of(&engine, s, 0), Value::Int(11));
         engine.shutdown();
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Once the cluster epoch moves past an engine's lease, its appends are
@@ -160,7 +152,7 @@ fn dedup_watermark_survives_reopen() {
 /// Reads keep working — fencing guards the log, not the session.
 #[test]
 fn superseded_lease_fences_writes_but_not_reads() {
-    let dir = temp_dir("fence");
+    let dir = TempDir::new("fence");
     let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
     assert_eq!(engine.durability(), Some(Durability::CommitSync));
     let epoch = Arc::new(AtomicU64::new(3));
@@ -189,7 +181,6 @@ fn superseded_lease_fences_writes_but_not_reads() {
     let reopened = Engine::open(&dir).unwrap();
     assert_eq!(value_of(&reopened, SessionId(0), 0), Value::Int(1));
     reopened.shutdown();
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A volatile engine has no log to fence.

@@ -6,6 +6,7 @@
 
 use stem_core::{Value, VarId};
 use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source};
+use stem_testkit::TempDir;
 
 fn var(ix: usize) -> VarId {
     VarId::from_index(ix)
@@ -292,7 +293,7 @@ fn structural_edit_between_overlapped_groups_invalidates_partitions() {
 
 #[test]
 fn threads_knob_survives_durable_recovery() {
-    let dir = tempdir();
+    let dir = TempDir::new("engine-parallel");
     let config = EngineConfig {
         workers: 1,
         propagation_threads: 8,
@@ -328,16 +329,4 @@ fn threads_knob_survives_durable_recovery() {
         "recovered sessions must keep the thread budget"
     );
     engine.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "stem-engine-parallel-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }

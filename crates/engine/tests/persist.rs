@@ -3,7 +3,6 @@
 //! rollback, and the durability-related stats surface.
 
 use std::fs;
-use std::path::PathBuf;
 
 use stem_core::{Value, VarId};
 use stem_engine::{
@@ -13,12 +12,7 @@ use stem_engine::{
 use stem_persist::{
     failing_factory, ByteBudget, PersistCommand, PersistSource, Store, StoreOptions, WalRecord,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-engine-persist-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -128,7 +122,7 @@ fn build_rich_session(engine: &Engine, s: SessionId) {
 
 #[test]
 fn reopen_rebuilds_sessions_exactly() {
-    let dir = temp_dir("roundtrip");
+    let dir = TempDir::new("roundtrip");
     let (d0, d1, v0);
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
@@ -157,12 +151,11 @@ fn reopen_rebuilds_sessions_exactly() {
     engine.apply(s0, vec![set(0, 10)]).unwrap();
     let after = dump(&engine, s0);
     assert_eq!(after[2].1, Value::Int(13));
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn read_only_batches_are_never_logged() {
-    let dir = temp_dir("readonly");
+    let dir = TempDir::new("readonly");
     let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
     let s = engine.create_session();
     engine.apply(s, vec![add("a"), set(0, 1)]).unwrap();
@@ -184,12 +177,11 @@ fn read_only_batches_are_never_logged() {
         )
         .unwrap();
     assert_eq!(engine.stats().wal_appends, logged);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn violation_batches_are_not_logged_and_not_recovered() {
-    let dir = temp_dir("violation");
+    let dir = TempDir::new("violation");
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
         let s = engine.create_session();
@@ -218,12 +210,11 @@ fn violation_batches_are_not_logged_and_not_recovered() {
     let engine = Engine::open(&dir).unwrap();
     let d = dump(&engine, SessionId(0));
     assert_eq!(d[0].1, Value::Int(3), "the violating write never happened");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn closed_sessions_stay_closed_across_reopen() {
-    let dir = temp_dir("close");
+    let dir = TempDir::new("close");
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
         let s0 = engine.create_session();
@@ -241,12 +232,11 @@ fn closed_sessions_stay_closed_across_reopen() {
     );
     // The retired id is not recycled.
     assert_eq!(engine.create_session(), SessionId(2));
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpoint_compacts_and_recovery_uses_the_snapshot() {
-    let dir = temp_dir("checkpoint");
+    let dir = TempDir::new("checkpoint");
     let small_segments = DurabilityOptions {
         segment_bytes: 256,
         checkpoint_bytes: 0,
@@ -283,12 +273,11 @@ fn checkpoint_compacts_and_recovery_uses_the_snapshot() {
     assert_eq!(dump(&engine, SessionId(0)), expected);
     assert_eq!(engine.stats().recoveries, 1);
     assert!(post > 0);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn automatic_checkpoints_fire_on_byte_threshold() {
-    let dir = temp_dir("autockpt");
+    let dir = TempDir::new("autockpt");
     let auto = DurabilityOptions {
         segment_bytes: 256,
         checkpoint_bytes: 512,
@@ -313,12 +302,11 @@ fn automatic_checkpoints_fire_on_byte_threshold() {
     engine.shutdown();
     let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
     assert_eq!(dump(&engine, SessionId(0)), expected);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn interval_sync_survives_clean_shutdown() {
-    let dir = temp_dir("interval");
+    let dir = TempDir::new("interval");
     let interval = DurabilityOptions {
         mode: Durability::IntervalSync {
             interval: std::time::Duration::from_secs(3600),
@@ -336,7 +324,6 @@ fn interval_sync_survives_clean_shutdown() {
     }
     let engine = Engine::open(&dir).unwrap();
     assert_eq!(dump(&engine, SessionId(0)), expected);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -347,7 +334,7 @@ fn custom_kinds_are_rejected_only_when_durable() {
         })),
         args: vec![VarId::from_index(0)],
     };
-    let dir = temp_dir("custom");
+    let dir = TempDir::new("custom");
     let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
     let s = engine.create_session();
     engine.apply(s, vec![add("a")]).unwrap();
@@ -364,12 +351,11 @@ fn custom_kinds_are_rejected_only_when_durable() {
     let s = volatile.create_session();
     volatile.apply(s, vec![add("a")]).unwrap();
     volatile.apply(s, vec![custom()]).unwrap();
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn wal_append_failure_rolls_the_batch_back() {
-    let dir = temp_dir("walfail");
+    let dir = TempDir::new("walfail");
     // Enough budget for the store magic plus the first batch's record;
     // the second batch's append dies mid-frame.
     let budget = ByteBudget::new(96);
@@ -391,12 +377,11 @@ fn wal_append_failure_rolls_the_batch_back() {
     let d = dump(&engine, SessionId(0));
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].1, Value::Int(1));
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpoint_crash_leaves_log_recovery_intact() {
-    let dir = temp_dir("ckptcrash");
+    let dir = TempDir::new("ckptcrash");
     let expected;
     let wal_bytes;
     {
@@ -426,12 +411,11 @@ fn checkpoint_crash_leaves_log_recovery_intact() {
     let engine = Engine::open(&dir).unwrap();
     assert_eq!(dump(&engine, SessionId(0)), expected);
     assert_eq!(engine.stats().snapshots_written, 0);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn durability_off_recovers_but_does_not_log() {
-    let dir = temp_dir("off");
+    let dir = TempDir::new("off");
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
         let s = engine.create_session();
@@ -458,7 +442,6 @@ fn durability_off_recovers_but_does_not_log() {
         Value::Int(5),
         "the unlogged write is gone, as Off promises"
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A sequence gap in the log (corruption the checksums could not see)
@@ -467,7 +450,7 @@ fn durability_off_recovers_but_does_not_log() {
 /// quarantine is lifted.
 #[test]
 fn sequence_gap_quarantines_and_fences_stale_records() {
-    let dir = temp_dir("seqgap");
+    let dir = TempDir::new("seqgap");
     {
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
         let set_rec = |seq: u64, v: i64| WalRecord::Batch {
@@ -521,7 +504,6 @@ fn sequence_gap_quarantines_and_fences_stale_records() {
         Value::Int(5),
         "post-quarantine commits win; the stale seq-4 record is gone"
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Closed-session ids are forgotten two checkpoints after compaction has
@@ -530,7 +512,7 @@ fn sequence_gap_quarantines_and_fences_stale_records() {
 /// recycled.
 #[test]
 fn closed_ids_are_pruned_after_compaction() {
-    let dir = temp_dir("prune");
+    let dir = TempDir::new("prune");
     {
         let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
         let s0 = engine.create_session();
@@ -561,7 +543,6 @@ fn closed_ids_are_pruned_after_compaction() {
         "closed session must not resurrect after its id is pruned"
     );
     assert_eq!(engine.create_session(), SessionId(2), "id not recycled");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -10,9 +10,6 @@
 //! half of the workload applied; the promoted follower must track a
 //! volatile reference engine that saw the whole stream.
 
-use std::fs;
-use std::path::PathBuf;
-
 use stem_core::codec::{put_justification, put_str, put_value, put_violation};
 use stem_core::prng::SplitMix64;
 use stem_core::{Value, VarId};
@@ -20,12 +17,7 @@ use stem_engine::{
     BatchError, Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig,
     Output, SessionId, Source,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-replication-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn leader_config() -> EngineConfig {
     EngineConfig {
@@ -139,7 +131,7 @@ fn ship_all(leader: &Engine, follower: &Engine) -> Vec<u64> {
 #[test]
 fn follower_matches_leader_byte_for_byte_across_25_seeds() {
     for seed in 0..25u64 {
-        let dir = temp_dir(&format!("seed{seed}"));
+        let dir = TempDir::new(&format!("seed{seed}"));
         let leader = Engine::open_with_config(&dir, leader_config(), ship_opts()).unwrap();
         // Volatile reference engine: sees the whole workload, first half
         // and second, and is the oracle for the promoted follower.
@@ -240,13 +232,12 @@ fn follower_matches_leader_byte_for_byte_across_25_seeds() {
         }
         // The promoted follower never hands out an id the stream used.
         assert_eq!(follower.create_session(), SessionId(3));
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
 fn closed_sessions_do_not_resurrect_on_the_follower() {
-    let dir = temp_dir("close");
+    let dir = TempDir::new("close");
     let leader = Engine::open_with_config(&dir, leader_config(), ship_opts()).unwrap();
     let s0 = leader.create_session();
     let s1 = leader.create_session();
@@ -269,12 +260,11 @@ fn closed_sessions_do_not_resurrect_on_the_follower() {
         ),
         "closed session resurrected on the follower"
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn segment_gap_quarantines_follower_sessions() {
-    let dir = temp_dir("gap");
+    let dir = TempDir::new("gap");
     let leader = Engine::open_with_config(&dir, leader_config(), ship_opts()).unwrap();
     let s = leader.create_session();
     build_session(&leader, s);
@@ -298,12 +288,11 @@ fn segment_gap_quarantines_follower_sessions() {
     assert!(report.anomalies > 0, "gap not detected: {report:?}");
     assert!(follower.session_stats(s).quarantined);
     assert!(follower.stats().sessions_quarantined >= 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn ingestion_requires_replica_mode_and_strict_segments() {
-    let dir = temp_dir("guards");
+    let dir = TempDir::new("guards");
     let leader = Engine::open_with_config(&dir, leader_config(), ship_opts()).unwrap();
     let s = leader.create_session();
     build_session(&leader, s);
@@ -325,14 +314,13 @@ fn ingestion_requires_replica_mode_and_strict_segments() {
     assert!(writable.seal_wal().is_err());
     assert!(writable.read_wal_segment(0).is_err());
     assert!(writable.wal_snapshot_bytes().unwrap().is_none());
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn group_commit_engine_ships_like_commit_sync() {
     // Group commit changes *when* fsync happens, not what is logged: a
     // follower fed a group-commit leader's segments must match it.
-    let dir = temp_dir("group");
+    let dir = TempDir::new("group");
     let opts = DurabilityOptions {
         mode: Durability::GroupCommit,
         ..ship_opts()
@@ -358,5 +346,4 @@ fn group_commit_engine_ships_like_commit_sync() {
     for &s in &sessions {
         assert_eq!(observe(&leader, s), observe(&follower, s), "{s}");
     }
-    let _ = fs::remove_dir_all(&dir);
 }

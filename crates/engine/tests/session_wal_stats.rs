@@ -7,17 +7,9 @@
 //! so the session shares must sum to the engine totals, minus exactly the
 //! records that belong to no session.
 
-use std::fs;
-use std::path::PathBuf;
-
 use stem_core::{Value, VarId};
 use stem_engine::{Command, DurabilityOptions, Engine, EngineConfig, Source};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-wal-stats-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn set(v: i64) -> Command {
     Command::Set {
@@ -29,7 +21,7 @@ fn set(v: i64) -> Command {
 
 #[test]
 fn session_wal_counters_partition_the_engine_totals() {
-    let dir = temp_dir("split");
+    let dir = TempDir::new("split");
     let engine = Engine::open_with_config(
         &dir,
         EngineConfig {
@@ -96,7 +88,6 @@ fn session_wal_counters_partition_the_engine_totals() {
     let after = engine.stats();
     assert_eq!(after.wal_appends, total.wal_appends + 1);
     assert_eq!(engine.session_stats(s0).wal_appends, 6);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -112,17 +112,11 @@ impl Lease {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("stem-lease-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use stem_testkit::TempDir;
 
     #[test]
     fn fresh_dir_has_no_lease_and_epochs_count_up() {
-        let dir = temp_dir("count");
+        let dir = TempDir::new("count");
         assert_eq!(Lease::load(&dir).unwrap(), None);
         assert_eq!(
             Lease::advance(&dir, 10).unwrap(),
@@ -146,12 +140,11 @@ mod tests {
                 holder: 11
             })
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_lease_is_an_error_not_a_reset() {
-        let dir = temp_dir("corrupt");
+        let dir = TempDir::new("corrupt");
         Lease::advance(&dir, 1).unwrap();
         // Flip one payload byte: the checksum must catch it and the
         // failure must be loud — a silent None would restart epochs.
@@ -162,16 +155,14 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(Lease::load(&dir).is_err());
         assert!(Lease::advance(&dir, 2).is_err(), "advance must not reset");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn leftover_tmp_is_ignored() {
-        let dir = temp_dir("tmp");
+        let dir = TempDir::new("tmp");
         Lease::advance(&dir, 5).unwrap();
         fs::write(dir.join("LEASE.tmp"), b"garbage from a crashed advance").unwrap();
         assert_eq!(Lease::load(&dir).unwrap().unwrap().epoch, 1);
         assert_eq!(Lease::advance(&dir, 6).unwrap().epoch, 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -3,19 +3,13 @@
 
 use std::fs;
 use std::io;
-use std::path::PathBuf;
 
 use stem_core::{Value, VarId};
 use stem_persist::{
     failing_factory, ByteBudget, PersistCommand, PersistSource, SessionState, Snapshot, Store,
     StoreOptions, SyncPolicy, WalRecord,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-persist-store-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn batch(session: u64, seq: u64, n: usize) -> WalRecord {
     WalRecord::Batch {
@@ -34,7 +28,7 @@ fn batch(session: u64, seq: u64, n: usize) -> WalRecord {
 
 #[test]
 fn append_then_reopen_replays_in_order() {
-    let dir = temp_dir("roundtrip");
+    let dir = TempDir::new("roundtrip");
     let records: Vec<_> = (1..=5).map(|q| batch(0, q, 2)).collect();
     {
         let (mut store, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
@@ -50,12 +44,11 @@ fn append_then_reopen_replays_in_order() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail, records);
     assert!(!rec.truncated);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn rotation_spreads_segments_and_reopen_merges() {
-    let dir = temp_dir("rotate");
+    let dir = TempDir::new("rotate");
     let records: Vec<_> = (1..=40).map(|q| batch(q % 3, q, 3)).collect();
     {
         let opts = StoreOptions {
@@ -70,12 +63,11 @@ fn rotation_spreads_segments_and_reopen_merges() {
     }
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail, records);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_tail_truncates_to_committed_prefix() {
-    let dir = temp_dir("torn");
+    let dir = TempDir::new("torn");
     let records: Vec<_> = (1..=4).map(|q| batch(7, q, 2)).collect();
     let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
     for r in &records {
@@ -120,12 +112,11 @@ fn torn_tail_truncates_to_committed_prefix() {
             }
         }
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpoint_compacts_covered_segments() {
-    let dir = temp_dir("compact");
+    let dir = TempDir::new("compact");
     let opts = StoreOptions {
         segment_bytes: 128,
         sync: SyncPolicy::Deferred,
@@ -167,12 +158,11 @@ fn checkpoint_compacts_covered_segments() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.snapshot, Some(snap));
     assert_eq!(rec.tail, vec![batch(1, 21, 2)], "only the uncovered record");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_newest_snapshot_falls_back_to_prior() {
-    let dir = temp_dir("snapfall");
+    let dir = TempDir::new("snapfall");
     let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
     let older = Snapshot {
         next_session: 1,
@@ -198,7 +188,6 @@ fn corrupt_newest_snapshot_falls_back_to_prior() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.snapshot, Some(older), "fell back past the corrupt file");
     assert!(rec.truncated, "corruption was noticed");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The crash→recover→append→reopen sequence: a torn tail left by crash
@@ -208,7 +197,7 @@ fn corrupt_newest_snapshot_falls_back_to_prior() {
 /// tear.
 #[test]
 fn torn_tail_is_repaired_and_later_appends_survive_reopen() {
-    let dir = temp_dir("repair");
+    let dir = TempDir::new("repair");
     let records: Vec<_> = (1..=3).map(|q| batch(5, q, 2)).collect();
     {
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
@@ -236,7 +225,6 @@ fn torn_tail_is_repaired_and_later_appends_survive_reopen() {
         "acked post-recovery record must not be shadowed by the old tear"
     );
     assert!(!rec.truncated, "the tear was repaired at the previous open");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A segment whose header is corrupt is quarantined aside; segments after
@@ -244,7 +232,7 @@ fn torn_tail_is_repaired_and_later_appends_survive_reopen() {
 /// reuse the quarantined index.
 #[test]
 fn bad_magic_segment_is_quarantined_not_a_barrier() {
-    let dir = temp_dir("quarantine");
+    let dir = TempDir::new("quarantine");
     let records: Vec<_> = (1..=3).map(|q| batch(2, q, 2)).collect();
     {
         // segment_bytes: 1 rotates after every append → one record per
@@ -275,7 +263,6 @@ fn bad_magic_segment_is_quarantined_not_a_barrier() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail, vec![records[0].clone(), records[2].clone()]);
     assert!(!rec.truncated, "quarantine is judged once, not per open");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Once a record's frame is written and fsynced it is committed; a
@@ -284,7 +271,7 @@ fn bad_magic_segment_is_quarantined_not_a_barrier() {
 /// report an un-failed batch as failed.
 #[test]
 fn append_commits_even_when_rotation_fails() {
-    let dir = temp_dir("rotfail");
+    let dir = TempDir::new("rotfail");
     let frame_len = batch(1, 1, 2).encode_frame().len() as u64;
     // Enough for the open's segment magic (8) plus one full frame plus one
     // spare byte (keeps the post-frame fsync alive); the successor's magic
@@ -307,14 +294,13 @@ fn append_commits_even_when_rotation_fails() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail, vec![batch(1, 1, 2)], "exactly the acked record");
     assert!(!rec.truncated, "stillborn successor was cleaned up");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Two live processes must not share a store directory: the second open
 /// fails fast instead of clobbering the first writer's active segment.
 #[test]
 fn second_open_is_locked_out() {
-    let dir = temp_dir("lock");
+    let dir = TempDir::new("lock");
     let (store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
     let err = Store::open(&dir, StoreOptions::default())
         .err()
@@ -322,12 +308,11 @@ fn second_open_is_locked_out() {
     assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     drop(store);
     Store::open(&dir, StoreOptions::default()).expect("lock released with its holder");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn close_records_round_trip() {
-    let dir = temp_dir("close");
+    let dir = TempDir::new("close");
     {
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
         store.append(&batch(3, 1, 1)).unwrap();
@@ -338,7 +323,6 @@ fn close_records_round_trip() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail.len(), 2);
     assert_eq!(rec.tail[1], WalRecord::Close { session: 3, seq: 2 });
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The lease fence: once the cluster epoch moves past this store's
@@ -350,7 +334,7 @@ fn fenced_store_refuses_appends_and_snapshots() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let dir = temp_dir("fence");
+    let dir = TempDir::new("fence");
     let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
     let epoch = Arc::new(AtomicU64::new(1));
     store.set_fence(1, Arc::clone(&epoch));
@@ -370,19 +354,17 @@ fn fenced_store_refuses_appends_and_snapshots() {
     let (_, rec) = Store::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(rec.tail.len(), 1);
     assert_eq!(rec.tail[0].seq(), 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Lease epochs persist and count up across grants, so a restarted
 /// coordinator can never hand out an epoch a fenced store already saw.
 #[test]
 fn lease_epochs_are_monotonic_on_disk() {
-    let dir = temp_dir("lease");
+    let dir = TempDir::new("lease");
     fs::create_dir_all(&dir).unwrap();
     assert_eq!(stem_persist::Lease::load(&dir).unwrap(), None);
     let a = stem_persist::Lease::advance(&dir, 7).unwrap();
     let b = stem_persist::Lease::advance(&dir, 8).unwrap();
     assert!(b.epoch > a.epoch);
     assert_eq!(stem_persist::Lease::load(&dir).unwrap(), Some(b));
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,6 @@
 //! twin engine: every acked batch must survive promotion byte-for-byte,
 //! none may apply twice.
 
-use std::fs;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -17,12 +15,7 @@ use stem_engine::{
 use stem_persist::Lease;
 use stem_server::proto::{Reply, Request};
 use stem_server::{Backend, Cluster, ClusterOptions};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-cluster-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_testkit::TempDir;
 
 fn options(shards: usize) -> ClusterOptions {
     ClusterOptions {
@@ -200,7 +193,7 @@ fn rendezvous_spreads_sessions_across_shards() {
 
 #[test]
 fn fail_over_preserves_acked_batches_and_refuses_a_second() {
-    let dir = temp_dir("failover");
+    let dir = TempDir::new("failover");
     let cluster = Cluster::open(&dir, options(2)).unwrap();
 
     // Sessions on both shards (open until each shard has one).
@@ -262,12 +255,11 @@ fn fail_over_preserves_acked_batches_and_refuses_a_second() {
     );
     // An untouched shard can still fail over.
     cluster.fail_over(1).unwrap();
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn lease_epochs_are_monotonic_across_cluster_reopen() {
-    let dir = temp_dir("lease-reopen");
+    let dir = TempDir::new("lease-reopen");
     let (first_epochs, session);
     {
         let cluster = Cluster::open(&dir, options(2)).unwrap();
@@ -300,12 +292,11 @@ fn lease_epochs_are_monotonic_across_cluster_reopen() {
         format!("{:?}", out.outputs[0]),
         format!("{:?}", stem_engine::Output::Value(Value::Int(21)))
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resurrected_leader_is_fenced_by_the_advanced_lease() {
-    let dir = temp_dir("zombie");
+    let dir = TempDir::new("zombie");
     let cluster = Cluster::open(&dir, options(1)).unwrap();
     let s = cluster.open_session();
     c_apply(&cluster, s, chain_cmds(4)).unwrap();
@@ -343,7 +334,6 @@ fn resurrected_leader_is_fenced_by_the_advanced_lease() {
     );
     let reads = zombie.apply(zs, vec![Command::DumpValues]).unwrap();
     assert!(!reads.outputs.is_empty());
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The headline differential: a durable 2-shard cluster and a volatile
@@ -361,7 +351,7 @@ fn kill_leader_mid_pipeline_differential_25_seeds() {
     const AFTER: usize = 8; // applied on the promoted leader
 
     for seed in 0..SEEDS {
-        let dir = temp_dir(&format!("diff-{seed}"));
+        let dir = TempDir::new(&format!("diff-{seed}"));
         let cluster = Cluster::open(&dir, options(2)).unwrap();
         let twin = Engine::with_config(EngineConfig {
             workers: 1,
@@ -443,7 +433,6 @@ fn kill_leader_mid_pipeline_differential_25_seeds() {
             assert_eq!(c_ss.n_constraints, t_ss.n_constraints, "seed {seed}");
         }
         cluster.shutdown();
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -453,7 +442,7 @@ fn kill_leader_mid_pipeline_differential_25_seeds() {
 #[test]
 fn catch_up_bootstraps_a_cold_follower_over_tcp() {
     use stem_server::{Client, Server};
-    let dir = temp_dir("catchup");
+    let dir = TempDir::new("catchup");
     let opts = stem_engine::DurabilityOptions {
         segment_bytes: 256,
         checkpoint_bytes: 0,
@@ -498,7 +487,6 @@ fn catch_up_bootstraps_a_cold_follower_over_tcp() {
     );
     // A promoted joiner accepts writes.
     jc.apply(s, &[set(1, 50)]).unwrap().unwrap();
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A cluster behind a single socket: `Cluster` implements `Backend`,

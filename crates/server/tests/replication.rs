@@ -3,22 +3,16 @@
 //! (fetch from one socket, ingest into the other), then kill-leader /
 //! promote-follower — all through [`Client`], no in-process shortcuts.
 
-use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use stem_core::{Value, VarId};
 use stem_engine::{
     Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, SessionId, Source,
 };
 use stem_server::{Client, Server};
+use stem_testkit::TempDir;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-server-repl-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
-
-fn leader_engine(dir: &PathBuf) -> Engine {
+fn leader_engine(dir: &Path) -> Engine {
     let opts = DurabilityOptions {
         segment_bytes: 512,
         checkpoint_bytes: 0,
@@ -54,7 +48,7 @@ fn ship(leader: &mut Client, follower: &mut Client) -> (u64, u64, u64) {
 
 #[test]
 fn kill_leader_promote_follower_over_tcp() {
-    let dir = temp_dir("fleet");
+    let dir = TempDir::new("fleet");
     let leader_srv = Server::spawn(leader_engine(&dir), "127.0.0.1:0").unwrap();
     let follower_srv = Server::spawn(Engine::replica(3), "127.0.0.1:0").unwrap();
     let mut leader = Client::connect(leader_srv.local_addr()).unwrap();
@@ -147,5 +141,4 @@ fn kill_leader_promote_follower_over_tcp() {
     let stats = follower.stats().unwrap();
     assert!(stats.segments_ingested > 0);
     assert!(stats.records_replayed >= 42);
-    let _ = fs::remove_dir_all(&dir);
 }
