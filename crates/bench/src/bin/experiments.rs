@@ -268,4 +268,20 @@ fn main() {
             &experiments::t_e24_parallel_replay(&[1, 2, 4, 8]),
         )
     );
+
+    print!(
+        "{}",
+        render_table(
+            "T-E27 — pool floor crossover: par_fanout(4, m) at 2 threads, µs per set (median of 7)",
+            &[
+                "m",
+                "steps/cone",
+                "interpreter µs",
+                "inline µs",
+                "pool µs",
+                "pool speedup"
+            ],
+            &experiments::t_e27_pool_floor(&[128, 256, 512, 1024, 2048, 4096, 8192], 7),
+        )
+    );
 }

@@ -1003,9 +1003,10 @@ pub fn t_e23_group_commit(session_counts: &[usize]) -> Vec<Vec<String>> {
 /// differential sweeps the identical thread counts). Observable state is
 /// asserted equal across arms here, so the speedup column is wall-clock
 /// only; the replay/cone/fallback columns show whether the partition
-/// actually engaged. On a single-core container the curve stays ≈1×
-/// (the pool adds coordination it cannot buy back) — the shape claim
-/// needs ≥8 hardware threads.
+/// actually engaged. Each 258-step cone sits below the default 1,024-step
+/// pool floor, so every threaded arm runs the cone kernels inline: the
+/// column compares kernel replay (with final-check elision) against the
+/// sequential interpreter, not thread scaling — T-E27 sweeps the floor.
 pub fn t_e24_parallel_replay(thread_counts: &[usize]) -> Vec<Vec<String>> {
     use stem_core::Justification;
 
@@ -1061,6 +1062,77 @@ pub fn t_e24_parallel_replay(thread_counts: &[usize]) -> Vec<Vec<String>> {
             ms(dt),
             format!("{ops:.0}"),
             speedup,
+        ]);
+    }
+    rows
+}
+
+/// T-E27 — the pool floor's crossover: `par_fanout(4, m)` at a two-thread
+/// budget, replayed with the kernels forced inline (floor `usize::MAX`)
+/// and forced onto the pool (floor 1), next to the sequential interpreter
+/// (thread budget 1) on the same plan. Each cell is the median of `reps`
+/// alternating repetitions of a fixed step budget, in µs per `set`; the
+/// last column is inline time over pool time (above 1 = the pool wins).
+/// Observable state is asserted equal across the three arms.
+pub fn t_e27_pool_floor(fans: &[usize], reps: usize) -> Vec<Vec<String>> {
+    use stem_core::Justification;
+
+    const CONES: usize = 4;
+    const STEP_BUDGET: usize = 2_000_000;
+
+    let mut rows = Vec::new();
+    for &fan in fans {
+        let steps = fan + 2;
+        let rounds = (STEP_BUDGET / (CONES * steps)).max(20) as i64;
+        // Arms: interpreter (threads 1), inline kernels, pooled kernels.
+        let mut arms: Vec<_> = [(1usize, 0usize), (2, usize::MAX), (2, 1)]
+            .into_iter()
+            .map(|(threads, floor)| {
+                let (mut net, src) = workloads::par_fanout(CONES, fan);
+                net.set_parallel_threads(threads);
+                if threads > 1 {
+                    net.set_parallel_min_steps(floor);
+                }
+                for i in 0..16 {
+                    net.set(src, Value::Int(i), Justification::User).unwrap();
+                }
+                (net, src, Vec::with_capacity(reps))
+            })
+            .collect();
+        let mut next = 100i64;
+        for _ in 0..reps {
+            for (net, src, times) in arms.iter_mut() {
+                let t0 = Instant::now();
+                for i in 0..rounds {
+                    net.set(*src, Value::Int(next + i), Justification::User)
+                        .unwrap();
+                }
+                times.push(t0.elapsed().as_secs_f64() * 1e6 / rounds as f64);
+            }
+            next += rounds;
+        }
+        let dumps: Vec<Vec<Value>> = arms
+            .iter()
+            .map(|(net, _, _)| net.variables().map(|v| net.value(v).clone()).collect())
+            .collect();
+        assert!(
+            dumps.windows(2).all(|w| w[0] == w[1]),
+            "arms diverged at m={fan}"
+        );
+        let median = |times: &mut Vec<f64>| {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        let us: Vec<f64> = arms.iter_mut().map(|(_, _, t)| median(t)).collect();
+        let pool = &arms[2].0;
+        assert_eq!(pool.par_stats().parallel_fallbacks, 0);
+        rows.push(vec![
+            fan.to_string(),
+            steps.to_string(),
+            format!("{:.1}", us[0]),
+            format!("{:.1}", us[1]),
+            format!("{:.1}", us[2]),
+            format!("{:.2}×", us[1] / us[2]),
         ]);
     }
     rows

@@ -1,7 +1,7 @@
 //! Determinism probe for the `ci.sh --par-differential` leg: builds a
 //! seeded batch of cone-partitionable networks, replays each with an
-//! 8-thread budget, and prints every variable's final value plus the
-//! propagation counters. The CI leg runs this twice with the same seed
+//! 8-thread budget through the pool and inline, and prints every
+//! variable's final value plus the propagation counters. The CI leg runs this twice with the same seed
 //! and requires byte-identical stdout — any scheduling-dependent value,
 //! ordering, or counter difference in the parallel replay path shows up
 //! as a diff.
@@ -19,9 +19,8 @@ fn main() {
         .unwrap_or(0xE24);
     let mut rng = SplitMix64::new(seed);
     for round in 0..16 {
-        // Every fifth round collapses to a single cone: the partitioner
-        // finds nothing to split, so the plan levelizes into a wavefront
-        // and the digest covers the pipelined path too.
+        // Every fifth round collapses to a single cone, so the digest
+        // covers the one-cone partition too.
         let cones = if round % 5 == 0 {
             1
         } else {
@@ -30,10 +29,12 @@ fn main() {
         let fan = rng.range_usize(2, 24);
         let mut net = Network::new();
         net.set_parallel_threads(8);
-        net.set_parallel_min_steps(1);
-        // Drop the per-task cost floor so these small cones really cross
-        // the work-stealing pool instead of the inline below-cost path.
-        net.set_parallel_cone_min_steps(1);
+        // Odd rounds drop the per-task floor so these small cones really
+        // cross the work-stealing pool; even rounds keep the default
+        // floor and replay inline.
+        if round % 2 == 1 {
+            net.set_parallel_min_steps(1);
+        }
         let src = net.add_variable("src");
         let mut outs: Vec<VarId> = Vec::new();
         for i in 0..cones {
@@ -70,12 +71,8 @@ fn main() {
         // two-run byte-identical diff this digest exists to enforce.
         let ps = net.par_stats();
         println!(
-            "  par: plan_replays_parallel: {} plan_replays_wavefront: {} \
-             cones_executed: {} parallel_fallbacks: {}",
-            ps.plan_replays_parallel,
-            ps.plan_replays_wavefront,
-            ps.cones_executed,
-            ps.parallel_fallbacks
+            "  par: plan_replays_parallel: {} cones_executed: {} parallel_fallbacks: {}",
+            ps.plan_replays_parallel, ps.cones_executed, ps.parallel_fallbacks
         );
     }
 }

@@ -124,15 +124,26 @@ pub trait ConstraintKind: fmt::Debug {
     }
 
     /// A thread-safe kernel equivalent to `infer` on a change of `changed`,
-    /// *if one exists* — the opt-in contract behind parallel plan replay
-    /// ([`crate::par`]). Returning `Some(kernel)` promises that running the
-    /// kernel against a raw value view produces exactly the
-    /// `propagate_set` calls `infer` would make (same targets, same order,
-    /// same values, same dependency records). Kinds closing over
-    /// non-`Send` state (custom closures) or whose effect cannot be
-    /// described as a pure value computation must keep the default `None`,
-    /// which excludes any plan containing them from cone partitioning and
-    /// leaves them on the sequential replay path.
+    /// *if one exists* — the opt-in contract behind cone-kernel plan
+    /// replay ([`crate::par`]). Returning `Some(kernel)` promises two
+    /// things:
+    ///
+    /// - running the kernel against a raw value view produces exactly the
+    ///   `propagate_set` calls `infer` would make (same targets, same
+    ///   order, same values, same dependency records);
+    /// - a [`ParKernel::Copy`](crate::ParKernel::Copy) or
+    ///   [`ParKernel::Apply`](crate::ParKernel::Apply) kernel whose writes
+    ///   all land — or find their value already in place — leaves
+    ///   [`ConstraintKind::is_satisfied`] true, as long as the written
+    ///   value equals itself and an `Apply` result is not also one of its
+    ///   inputs. The replay skips the final check of a constraint so
+    ///   established, so a kind whose satisfaction test asks for more than
+    ///   its kernel establishes must return `None`.
+    ///
+    /// Kinds closing over non-`Send` state (custom closures) or whose
+    /// effect cannot be described as a pure value computation must keep
+    /// the default `None`, which excludes any plan containing them from
+    /// cone partitioning and leaves them on the sequential replay path.
     fn par_kernel(
         &self,
         net: &Network,

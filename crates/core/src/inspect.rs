@@ -44,15 +44,18 @@ impl<'n> NetworkInspector<'n> {
             crate::PlanStatus::Uncompilable => "  plan(uncompilable)".to_string(),
             crate::PlanStatus::Ready { steps, checks } => {
                 let mut s = format!("  plan({steps} steps, {checks} checks)");
-                // Parallel shape and skew diagnostics: cone count, layer
-                // depth, costliest task, and the last committed replay's
-                // steal count — enough to see an unbalanced partition
-                // without a profiler.
+                // Kernel shape and skew diagnostics: cone count, costliest
+                // cone against the pool floor (below it the cones run
+                // inline), and the last committed replay's steal count —
+                // enough to see an unbalanced partition without a profiler.
                 if let Some(d) = n.plan_par_detail(var) {
                     let _ = write!(
                         s,
-                        "  par({} cones, {} layers, max task {}, last stolen {})",
-                        d.cones, d.layers, d.max_task_exec, d.last_stolen
+                        "  par({} cones, max task {}, floor {}, last stolen {})",
+                        d.cones,
+                        d.max_task_exec,
+                        n.parallel_min_steps(),
+                        d.last_stolen
                     );
                 }
                 s
@@ -365,7 +368,7 @@ mod tests {
         net.set(root, Value::Int(1), Justification::User).unwrap();
         let insp = NetworkInspector::new(&net);
         let da = insp.describe_variable(root);
-        assert!(da.contains("par(3 cones, 1 layers"), "{da}");
+        assert!(da.contains("par(3 cones, max task 1, floor 1"), "{da}");
         assert!(da.contains("last stolen"), "{da}");
     }
 

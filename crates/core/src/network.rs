@@ -2,7 +2,7 @@ use crate::agenda::AgendaScheduler;
 use crate::constraint::{Activation, ConstraintData, ConstraintKind};
 use crate::ids::{ConstraintId, VarId};
 use crate::justification::{DependencyRecord, Justification};
-use crate::par::{self, ParStats, SlotsView};
+use crate::par::{self, ParStats};
 use crate::plan::{PlanOp, PlanParDetail, PlanSlot, PlanStatus, PropPlan};
 use crate::value::Value;
 use crate::variable::{Overwrite, PlainKind, VariableData, VariableKind};
@@ -10,6 +10,9 @@ use crate::violation::Violation;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// Default per-task pool floor ([`Network::set_parallel_min_steps`]).
+const DEFAULT_PARALLEL_MIN_STEPS: usize = 1024;
 
 /// A variable's current value and justification (`lastSetBy`), stored in a
 /// dense arena parallel to the variable arena. Kept separate from
@@ -286,19 +289,14 @@ pub struct Network {
     /// Master switch for plan-cached propagation
     /// ([`Network::set_plan_caching`]); on by default.
     plan_caching: bool,
-    /// Worker count for parallel plan replay
+    /// Worker count for cone-kernel plan replay
     /// ([`Network::set_parallel_threads`]); 1 (the default) keeps every
     /// replay on the sequential path and compiles no partition metadata.
     parallel_threads: usize,
-    /// Minimum executing plan steps (immediate + scheduled inferences)
-    /// before a plan is worth partitioning — small cones must not pay
-    /// pool hand-off latency ([`Network::set_parallel_min_steps`]).
-    par_min_exec_steps: usize,
-    /// Minimum executing steps in a partitioned plan's costliest pool
-    /// task before a replay engages the worker pool; below the floor the
-    /// kernels run inline on the calling thread
-    /// ([`Network::set_parallel_cone_min_steps`]).
-    par_cone_min_steps: usize,
+    /// Minimum executing steps in a plan's costliest cone before a
+    /// replay engages the worker pool; below the floor the kernels run
+    /// inline on the calling thread ([`Network::set_parallel_min_steps`]).
+    par_min_steps: usize,
     /// Per variable: `(root index, token)` plan subscriptions — the
     /// compiled (or refused) plans whose footprint includes the
     /// variable. A structural edit evicts exactly the subscribed roots
@@ -390,8 +388,7 @@ impl Clone for Network {
             structure_generation: self.structure_generation,
             plan_caching: self.plan_caching,
             parallel_threads: self.parallel_threads,
-            par_min_exec_steps: self.par_min_exec_steps,
-            par_cone_min_steps: self.par_cone_min_steps,
+            par_min_steps: self.par_min_steps,
             plan_subs: self.plan_subs.clone(),
             plan_tokens: self.plan_tokens.clone(),
             next_plan_token: self.next_plan_token,
@@ -430,8 +427,7 @@ impl Network {
             structure_generation: 0,
             plan_caching: true,
             parallel_threads: 1,
-            par_min_exec_steps: 256,
-            par_cone_min_steps: 128,
+            par_min_steps: DEFAULT_PARALLEL_MIN_STEPS,
             plan_subs: Vec::new(),
             plan_tokens: Vec::new(),
             next_plan_token: 1,
@@ -902,7 +898,7 @@ impl Network {
         self.par_stats = ParStats::default();
     }
 
-    /// Accumulated parallel-replay counters ([`crate::par`]). Always
+    /// Accumulated cone-kernel replay counters ([`crate::par`]). Always
     /// zero while [`Network::parallel_threads`] is 1.
     pub fn par_stats(&self) -> ParStats {
         self.par_stats
@@ -1398,16 +1394,22 @@ impl Network {
         if self.plan_caching && self.step_limit.is_none() {
             if let Some(mut plan) = self.plan_for(var) {
                 if self.parallel_threads > 1 {
+                    // Kernels neither prune subsumed constraints nor
+                    // revalidate subsumption watchers on widening writes,
+                    // so they run only while no mark is live (they cannot
+                    // create one: marks come from `infer`).
                     if plan.par.is_some()
+                        && self.n_subsumed == 0
                         && self.run_plan_parallel(var, &value, &justification, &mut plan)
                     {
                         self.plans[var.index()] = PlanSlot::Ready(plan);
                         return Ok(());
                     }
-                    // No partition was admitted at compile time, or the
-                    // parallel attempt aborted (overwrite denial, final-check
-                    // violation): the sequential replay below is the ground
-                    // truth and reproduces the exact outcome.
+                    // No partition was admitted at compile time, a
+                    // subsumption mark is live, or the kernel attempt
+                    // aborted (overwrite denial, final-check violation):
+                    // the sequential replay below is the ground truth and
+                    // reproduces the exact outcome.
                     self.par_stats.parallel_fallbacks += 1;
                 }
                 return self.run_plan(var, value, justification, plan);
@@ -1652,11 +1654,13 @@ impl Network {
     }
 
     /// Sets the replay thread budget. `1` (the default) keeps every
-    /// replay sequential; above 1, plan compilation additionally
-    /// partitions each plan into independent cones ([`crate::par`]) and
-    /// replay executes them on a shared worker pool when profitable.
-    /// Values are clamped to at least 1. Changing the budget drops all
-    /// cached plans so partitions are (re)built consistently.
+    /// replay on the sequential interpreter; above 1, plan compilation
+    /// also lowers each plan to pure kernels partitioned into
+    /// independent cones ([`crate::par`]), and replay runs them inline
+    /// or on a shared worker pool (see
+    /// [`Network::set_parallel_min_steps`]). Values are clamped to at
+    /// least 1. Changing the budget drops all cached plans so partitions
+    /// are (re)built consistently.
     ///
     /// # Panics
     ///
@@ -1675,87 +1679,47 @@ impl Network {
         self.parallel_threads
     }
 
-    /// Sets the minimum number of *executing* plan steps (immediate and
-    /// drain-phase inferences) below which a plan is never partitioned:
-    /// small cones replay sequentially faster than any pool handoff.
-    /// Changing the threshold drops all cached plans.
+    /// Sets the per-task cost floor for the worker pool: a kernel replay
+    /// whose costliest cone executes fewer steps (immediate and
+    /// drain-phase inferences) than this runs its kernels inline on the
+    /// calling thread, where pool hand-off would cost more than the
+    /// cones save. The partition is kept either way, so changing the
+    /// floor drops no cached plans. Default 1,024, the measured
+    /// crossover on a 2-vCPU host (DESIGN §5h).
     ///
     /// # Panics
     ///
     /// Panics if called during an active propagation cycle.
     pub fn set_parallel_min_steps(&mut self, min_steps: usize) {
         assert!(self.state.is_none(), "cannot toggle mid-propagation");
-        if min_steps != self.par_min_exec_steps {
-            self.par_min_exec_steps = min_steps;
-            self.drop_all_plans();
-        }
+        self.par_min_steps = min_steps;
     }
 
-    /// The partition size threshold ([`Network::set_parallel_min_steps`]).
+    /// The per-task pool floor ([`Network::set_parallel_min_steps`]).
     pub fn parallel_min_steps(&self) -> usize {
-        self.par_min_exec_steps
+        self.par_min_steps
     }
 
-    /// Sets the per-task cost floor for the replay-time pool admission:
-    /// a partitioned plan whose costliest single task (biggest cone, or
-    /// widest wavefront layer) has fewer executing steps than this runs
-    /// its kernels inline on the calling thread instead of paying pool
-    /// hand-off — the shape where `parallel/64` used to lose to
-    /// `par_seq/64`. The partition itself is kept (inline replay still
-    /// uses the kernelized cones, which beat interpreted dispatch), so
-    /// changing the floor does not drop cached plans. Default 128.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called during an active propagation cycle.
-    pub fn set_parallel_cone_min_steps(&mut self, min_steps: usize) {
-        assert!(self.state.is_none(), "cannot toggle mid-propagation");
-        self.par_cone_min_steps = min_steps;
-    }
-
-    /// The per-task pool admission floor
-    /// ([`Network::set_parallel_cone_min_steps`]).
-    pub fn parallel_cone_min_steps(&self) -> usize {
-        self.par_cone_min_steps
-    }
-
-    /// Number of cones in `var`'s cached parallel partition: `None` if
-    /// there is no current plan or the plan has no partition (below the
-    /// size threshold, single connected component, or a kind without a
-    /// parallel kernel). Exposed for tests and benches to assert which
-    /// path a replay takes.
+    /// Number of cones in `var`'s cached kernel partition: `None` if
+    /// there is no current plan or the plan has no partition (a kind
+    /// without a kernel, or a non-plain write target). Exposed for tests
+    /// and benches to assert which path a replay takes.
     pub fn plan_parallel_cones(&self, var: VarId) -> Option<usize> {
-        match self.plans.get(var.index()) {
-            Some(PlanSlot::Ready(p)) if p.generation == self.structure_generation => {
-                p.par.as_ref().map(|pp| match &pp.exec {
-                    crate::par::ParExec::Cones(cones) => cones.len(),
-                    // A wavefront is one cone, pipelined.
-                    crate::par::ParExec::Wave(_) => 1,
-                })
-            }
-            _ => None,
-        }
+        self.plan_par_detail(var).map(|d| d.cones)
     }
 
-    /// Diagnostic detail for `var`'s cached parallel partition, for the
-    /// inspector: cone count, wavefront layer depth (1 for independent
-    /// cones), the executing-step width of the costliest pool task, and
-    /// how many tasks were stolen during the most recent committed
-    /// parallel replay. `None` when there is no current partitioned plan.
+    /// Diagnostic detail for `var`'s cached kernel partition, for the
+    /// inspector: cone count, the executing-step width of the costliest
+    /// cone, and how many cones were stolen during the most recent
+    /// committed replay. `None` when there is no current partitioned
+    /// plan.
     pub fn plan_par_detail(&self, var: VarId) -> Option<PlanParDetail> {
         match self.plans.get(var.index()) {
             Some(PlanSlot::Ready(p)) if p.generation == self.structure_generation => {
-                p.par.as_ref().map(|pp| {
-                    let (cones, layers) = match &pp.exec {
-                        crate::par::ParExec::Cones(cones) => (cones.len(), 1),
-                        crate::par::ParExec::Wave(w) => (1, w.layers.len()),
-                    };
-                    PlanParDetail {
-                        cones,
-                        layers,
-                        max_task_exec: pp.max_task_exec as usize,
-                        last_stolen: pp.last_stolen,
-                    }
+                p.par.as_ref().map(|pp| PlanParDetail {
+                    cones: pp.cones.len(),
+                    max_task_exec: pp.max_task_exec as usize,
+                    last_stolen: pp.last_stolen,
                 })
             }
             _ => None,
@@ -2071,10 +2035,10 @@ impl Network {
             par: None,
         };
         if self.parallel_threads > 1 {
-            // Cone partitioning is only worth the compile cost when a
-            // worker pool exists to exploit it; the sequential plan is
-            // complete without it.
-            plan.par = par::build_par(self, root, &plan, self.par_min_exec_steps);
+            // Kernel lowering is only worth the compile cost when a
+            // thread budget asks for it; the sequential plan is complete
+            // without it.
+            plan.par = par::build_par(self, root, &plan);
         }
         Some(plan)
     }
@@ -2245,20 +2209,20 @@ impl Network {
         ));
     }
 
-    /// Replays `plan`'s parallel body concurrently: writes the root,
-    /// launches its cones (or its wavefront layers) on the worker pool
-    /// ([`crate::par`]), merges the final-check sets in sequential visit
-    /// order, and commits (journal entries, statistics) on success.
-    /// Returns `false` — with *every* write restored — whenever the
-    /// replay would deviate from the sequential outcome (an overwrite
-    /// denial inside a cone, or an unsatisfied visited constraint): the
-    /// caller then falls back to [`Network::run_plan`], which reproduces
-    /// the violation, its statistics and its handler calls exactly.
+    /// Replays `plan` through its cone kernels: writes the root, runs
+    /// the cones ([`crate::par`]), tests the visited constraints no
+    /// kernel established in sequential visit order, and commits
+    /// (journal entries, statistics) on success. Returns `false` — with
+    /// *every* write restored — whenever the replay would deviate from
+    /// the sequential outcome (an overwrite denial inside a cone, or an
+    /// unsatisfied visited constraint): the caller then falls back to
+    /// [`Network::run_plan`], which reproduces the violation, its
+    /// statistics and its handler calls exactly.
     ///
-    /// Replay-time cost gate: when the plan's costliest pool task
-    /// executes fewer steps than [`Network::set_parallel_cone_min_steps`],
-    /// the kernels run inline on this thread (`threads = 1` to the pool)
-    /// — same code path, same counters, no hand-off latency.
+    /// The cones run on the worker pool only when the costliest one
+    /// executes at least [`Network::set_parallel_min_steps`] steps;
+    /// otherwise they run inline on this thread — same kernels, same
+    /// counters, no hand-off latency.
     fn run_plan_parallel(
         &mut self,
         root: VarId,
@@ -2266,7 +2230,7 @@ impl Network {
         justification: &Justification,
         plan: &mut PropPlan,
     ) -> bool {
-        debug_assert!(self.state.is_none(), "parallel replay outside a cycle");
+        debug_assert!(self.state.is_none(), "kernel replay outside a cycle");
         // Root pre-image and write, mirroring `assign_raw`'s journal-first
         // order. The root entry is harmless if we abort: its pre-image is
         // exact, and the sequential rerun's first-write dedup skips it.
@@ -2279,92 +2243,42 @@ impl Network {
             )
         };
         let par_plan = plan.par.as_mut().expect("caller checked partition");
-        let threads = if (par_plan.max_task_exec as usize) < self.par_cone_min_steps {
+        let threads = if (par_plan.max_task_exec as usize) < self.par_min_steps {
             1
         } else {
             self.parallel_threads
         };
-        let view = SlotsView::new(self.slots.as_mut_ptr(), self.slots.len());
-        let strengths: &[u8] = &par_plan.strengths;
-        let is_wave;
-        let n_cones;
-        let stolen;
-        let failed;
-        let mut visited: Vec<(u32, ConstraintId)> = Vec::new();
-        match &mut par_plan.exec {
-            par::ParExec::Cones(cones) => {
-                is_wave = false;
-                n_cones = cones.len() as u64;
-                {
-                    let tasks: Vec<par::ConeTask> = cones
-                        .iter_mut()
-                        .map(|c| par::ConeTask::new(c, strengths))
-                        .collect();
-                    // SAFETY: each task index runs exactly once; cones
-                    // have disjoint write sets and the main thread stays
-                    // out of the slot arena while the pool holds the view.
-                    stolen =
-                        par::pool_run(tasks.len(), threads, &|t| unsafe { tasks[t].run(&view) });
-                }
-                failed = cones.iter().any(|c| c.scratch.failed);
-                if !failed {
-                    // Merged final check in the sequential replay's visit
-                    // order (cones record each constraint's first live
-                    // sighting with its plan index; the sort restores the
-                    // global order).
-                    visited.extend(cones.iter().flat_map(|c| c.scratch.visited.iter().copied()));
-                }
-            }
-            par::ParExec::Wave(wave) => {
-                is_wave = true;
-                n_cones = 1;
-                // SAFETY: layer barriers inside `run_wave` order the
-                // chunks; the main thread stays out of the slot arena.
-                stolen = par::run_wave(wave, &view, strengths, threads);
-                failed = wave.failed();
-                if !failed {
-                    wave.collect_visited(&mut visited);
-                }
-            }
-        }
-        let mut ok = !failed;
-        if ok {
-            visited.sort_unstable_by_key(|&(ix, _)| ix);
-            ok = visited.iter().all(|&(_, cid)| {
+        let stolen = par_plan.replay(&mut self.slots, threads);
+        // Merged final check over what the kernels left unproven. A
+        // marked constraint needs no test: nothing can change one of its
+        // arguments later in the replay without a later live step of the
+        // same constraint, which clears the mark (DESIGN §5h).
+        let ok = !par_plan.failed()
+            && par_plan.pending_checks().iter().all(|&(_, cid)| {
                 let d = &self.constraints[cid.index()];
                 !d.active || !d.enabled || d.kind.is_satisfied(self, cid)
             });
-        }
-        let par_plan = plan.par.as_mut().expect("checked above");
         if !ok {
-            let slots = &mut self.slots;
-            for (_, pre) in par_plan.tasks_mut() {
-                for (wvar, wvalue, wjust) in pre.drain(..) {
-                    let s = &mut slots[wvar.index()];
-                    s.value = wvalue;
-                    s.justification = wjust;
-                }
-            }
-            let s = &mut slots[root.index()];
+            par_plan.undo(&mut self.slots);
+            let s = &mut self.slots[root.index()];
             s.value = root_pre_value;
             s.justification = root_pre_just;
             return false;
         }
-        // Commit: drain the pre-images into the journal in plan order
-        // (cone order for a partition, chunk order for a wavefront —
-        // both are plan order; first-write-wins, the same inline
-        // journaling `propagate_set` performs) and fold the counters
-        // into the statistics at the same totals the sequential replay
-        // would have produced.
+        // Commit: drain the pre-images into the journal in cone order
+        // (plan order; first-write-wins, the same inline journaling
+        // `propagate_set` performs) and fold the counters into the
+        // statistics at the same totals the sequential replay would have
+        // produced.
         let mut assignments = 1; // the root write
-        let mut counters = crate::par::ConeCounters::default();
-        for (c, pre) in par_plan.tasks_mut() {
-            counters.activations += c.activations;
-            counters.inferences += c.inferences;
-            counters.schedules += c.schedules;
-            counters.scheduled_runs += c.scheduled_runs;
+        for cone in &mut par_plan.cones {
+            let c = cone.scratch.counters;
+            self.stats.activations += c.activations;
+            self.stats.inferences += c.inferences;
+            self.stats.schedules += c.schedules;
+            self.stats.scheduled_runs += c.scheduled_runs;
             assignments += c.assignments;
-            for (wvar, wvalue, wjust) in pre.drain(..) {
+            for (wvar, wvalue, wjust) in cone.scratch.pre.drain(..) {
                 if let Some(j) = &mut self.journal {
                     let ix = wvar.index();
                     if j.seen.len() <= ix {
@@ -2381,265 +2295,13 @@ impl Network {
                 }
             }
         }
-        self.stats.activations += counters.activations;
-        self.stats.inferences += counters.inferences;
-        self.stats.schedules += counters.schedules;
-        self.stats.scheduled_runs += counters.scheduled_runs;
         self.stats.assignments += assignments;
         self.stats.cycles += 1;
         self.par_stats.plan_replays_parallel += 1;
-        self.par_stats.cones_executed += n_cones;
-        if is_wave {
-            self.par_stats.plan_replays_wavefront += 1;
-        }
+        self.par_stats.cones_executed += par_plan.cones.len() as u64;
         self.par_stats.cones_stolen += stolen;
         par_plan.last_stolen = stolen;
         true
-    }
-
-    /// Applies a sequence of external assignments in order. With
-    /// parallel replay enabled ([`Network::set_parallel_threads`]),
-    /// *consecutive* roots whose cached partitioned plans touch
-    /// pairwise-disjoint variable sets are replayed overlapped — all
-    /// their cones interleave on one worker-pool job — which is
-    /// observationally identical to applying them one at a time
-    /// (disjointness leaves no write order to observe).
-    ///
-    /// # Errors
-    ///
-    /// On a violation, returns the index of the offending assignment
-    /// with the violation; assignments before it stay committed, exactly
-    /// as a sequential loop of [`Network::set`] calls would leave them.
-    pub fn set_all(
-        &mut self,
-        mut sets: Vec<(VarId, Value, Justification)>,
-    ) -> Result<(), (usize, Violation)> {
-        let mut i = 0;
-        while i < sets.len() {
-            if self.parallel_threads > 1 && sets.len() - i >= 2 {
-                let n = self.try_overlapped(&sets[i..]);
-                if n >= 2 {
-                    i += n;
-                    continue;
-                }
-            }
-            let (var, value, justification) =
-                std::mem::replace(&mut sets[i], (VarId(0), Value::Nil, Justification::Unset));
-            self.set(var, value, justification).map_err(|v| (i, v))?;
-            i += 1;
-        }
-        Ok(())
-    }
-
-    /// Admits a maximal prefix of `window` for overlapped replay and
-    /// runs it; returns how many assignments were committed (0 = the
-    /// group did not form or aborted — the caller's sequential loop
-    /// takes over and reproduces the exact per-root outcomes).
-    fn try_overlapped(&mut self, window: &[(VarId, Value, Justification)]) -> usize {
-        if !self.enabled || !self.plan_caching || self.step_limit.is_some() {
-            return 0;
-        }
-        debug_assert!(self.state.is_none(), "overlapped replay outside a cycle");
-        // Plans are *peeked*, not `plan_for`'d: cache-hit accounting
-        // happens only if the group commits (an aborted group's
-        // sequential rerun counts its own hits).
-        let mut group: Vec<(VarId, Box<PropPlan>)> = Vec::new();
-        let mut footprint: Vec<u32> = Vec::new();
-        for (var, _, justification) in window {
-            if matches!(justification, Justification::Propagated { .. }) {
-                break; // leave forged-record validation to the sequential path
-            }
-            let ix = var.index();
-            // Only cone partitions overlap: a wavefront plan's layer
-            // barriers would serialize the whole group, so its root
-            // replays alone via the single-root path.
-            let ready = matches!(
-                self.plans.get(ix),
-                Some(PlanSlot::Ready(p))
-                    if p.generation == self.structure_generation
-                        && matches!(
-                            p.par.as_deref(),
-                            Some(par::ParPlan { exec: par::ParExec::Cones(_), .. })
-                        )
-            );
-            if !ready {
-                break;
-            }
-            {
-                let PlanSlot::Ready(p) = &self.plans[ix] else {
-                    unreachable!("matched Ready above");
-                };
-                let refs = &p.par.as_ref().expect("matched partition above").refs;
-                // A duplicate root also fails here: every plan's refs
-                // include its root.
-                if !par::ParPlan::refs_disjoint(&footprint, refs) {
-                    break;
-                }
-                par::ParPlan::merge_refs(&mut footprint, refs);
-            }
-            let PlanSlot::Ready(p) = std::mem::replace(&mut self.plans[ix], PlanSlot::Absent)
-            else {
-                unreachable!("matched Ready above");
-            };
-            group.push((*var, p));
-        }
-        if group.len() < 2 {
-            for (var, p) in group {
-                self.plans[var.index()] = PlanSlot::Ready(p);
-            }
-            return 0;
-        }
-        let k = group.len();
-        // Root pre-images and writes (journal first, like `assign_raw`).
-        let mut root_pre: Vec<(Value, Justification)> = Vec::with_capacity(k);
-        for (j, (var, _)) in group.iter().enumerate() {
-            let (_, value, justification) = &window[j];
-            self.journal_record_value(*var);
-            let s = &mut self.slots[var.index()];
-            root_pre.push((
-                std::mem::replace(&mut s.value, value.clone()),
-                std::mem::replace(&mut s.justification, justification.clone()),
-            ));
-        }
-        // Replay-time cost gate over the whole group: if even the
-        // costliest task in the group is below the floor, run the
-        // merged job inline (the group still commits as one batch).
-        let group_max_exec = group
-            .iter()
-            .map(|(_, p)| {
-                p.par
-                    .as_ref()
-                    .expect("admitted with partition")
-                    .max_task_exec
-            })
-            .max()
-            .unwrap_or(0);
-        let threads = if (group_max_exec as usize) < self.par_cone_min_steps {
-            1
-        } else {
-            self.parallel_threads
-        };
-        let view = SlotsView::new(self.slots.as_mut_ptr(), self.slots.len());
-        let stolen;
-        {
-            let tasks: Vec<par::ConeTask> = group
-                .iter_mut()
-                .flat_map(|(_, plan)| {
-                    let par::ParPlan {
-                        exec, strengths, ..
-                    } = &mut **plan.par.as_mut().expect("admitted with partition");
-                    let par::ParExec::Cones(cones) = exec else {
-                        unreachable!("admitted cone partitions only");
-                    };
-                    let strengths: &[u8] = strengths;
-                    cones
-                        .iter_mut()
-                        .map(move |c| par::ConeTask::new(c, strengths))
-                })
-                .collect();
-            // SAFETY: pairwise-disjoint refs extend the per-plan cone
-            // disjointness across the whole group.
-            stolen = par::pool_run(tasks.len(), threads, &|t| unsafe { tasks[t].run(&view) });
-        }
-        fn group_cones(plan: &PropPlan) -> &Vec<par::ParCone> {
-            let par::ParExec::Cones(cones) =
-                &plan.par.as_ref().expect("admitted with partition").exec
-            else {
-                unreachable!("admitted cone partitions only");
-            };
-            cones
-        }
-        let mut ok = !group
-            .iter()
-            .any(|(_, plan)| group_cones(plan).iter().any(|c| c.scratch.failed));
-        if ok {
-            let mut visited: Vec<(u32, ConstraintId)> = Vec::new();
-            'plans: for (_, plan) in &group {
-                visited.clear();
-                for c in group_cones(plan) {
-                    visited.extend(c.scratch.visited.iter().copied());
-                }
-                visited.sort_unstable_by_key(|&(ix, _)| ix);
-                for &(_, cid) in &visited {
-                    let d = &self.constraints[cid.index()];
-                    if d.active && d.enabled && !d.kind.is_satisfied(self, cid) {
-                        ok = false;
-                        break 'plans;
-                    }
-                }
-            }
-        }
-        if !ok {
-            // Unwind the whole group; the caller's sequential loop
-            // reproduces the exact per-root outcomes (statistics,
-            // violation index, handler calls). Non-violating roots will
-            // typically re-commit via the single-root parallel path.
-            for (_, plan) in group.iter_mut() {
-                let p = plan.par.as_mut().expect("admitted with partition");
-                for (_, pre) in p.tasks_mut() {
-                    for (wvar, wvalue, wjust) in pre.drain(..) {
-                        let s = &mut self.slots[wvar.index()];
-                        s.value = wvalue;
-                        s.justification = wjust;
-                    }
-                }
-            }
-            for ((var, _), (value, justification)) in group.iter().zip(root_pre) {
-                let s = &mut self.slots[var.index()];
-                s.value = value;
-                s.justification = justification;
-            }
-            for (var, p) in group {
-                self.plans[var.index()] = PlanSlot::Ready(p);
-            }
-            return 0;
-        }
-        // Commit every root: same journal entries and statistics as k
-        // sequential cached replays.
-        for (_, plan) in group.iter_mut() {
-            let n_cones = group_cones(plan).len() as u64;
-            let p = plan.par.as_mut().expect("admitted with partition");
-            p.last_stolen = stolen; // group total: the job was merged
-            let mut assignments = 1; // the root write
-            let mut counters = crate::par::ConeCounters::default();
-            for (c, pre) in p.tasks_mut() {
-                counters.activations += c.activations;
-                counters.inferences += c.inferences;
-                counters.schedules += c.schedules;
-                counters.scheduled_runs += c.scheduled_runs;
-                assignments += c.assignments;
-                for (wvar, wvalue, wjust) in pre.drain(..) {
-                    if let Some(j) = &mut self.journal {
-                        let ix = wvar.index();
-                        if j.seen.len() <= ix {
-                            j.seen.resize(ix + 1, false);
-                        }
-                        if !j.seen[ix] {
-                            j.seen[ix] = true;
-                            j.entries.push(JournalEntry::Value {
-                                var: wvar,
-                                value: wvalue,
-                                justification: wjust,
-                            });
-                        }
-                    }
-                }
-            }
-            self.stats.activations += counters.activations;
-            self.stats.inferences += counters.inferences;
-            self.stats.schedules += counters.schedules;
-            self.stats.scheduled_runs += counters.scheduled_runs;
-            self.stats.assignments += assignments;
-            self.stats.cycles += 1;
-            self.stats.plan_cache_hits += 1;
-            self.par_stats.plan_replays_parallel += 1;
-            self.par_stats.cones_executed += n_cones;
-        }
-        self.par_stats.cones_stolen += stolen;
-        for (var, p) in group {
-            self.plans[var.index()] = PlanSlot::Ready(p);
-        }
-        k
     }
 
     // ------------------------------------------------------------------

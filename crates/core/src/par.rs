@@ -1,5 +1,6 @@
-//! Parallel plan replay — cone-partitioned execution of compiled
-//! propagation plans on an in-tree scoped worker pool.
+//! Cone-kernel plan replay — compiled propagation plans lowered to pure
+//! value kernels, partitioned into independent cones, and run on the
+//! calling thread or on an in-tree scoped worker pool.
 //!
 //! A compiled [`PropPlan`](crate::plan::PropPlan) is a straight-line
 //! recording of the agenda interpreter's work for one root change. After
@@ -12,26 +13,24 @@
 //!
 //! 1. partitions a plan's steps into cones at compile time
 //!    ([`build_par`]), refusing whenever a step's effect cannot be
-//!    replicated off-thread (no [`ParKernel`], a non-plain write target,
-//!    or a plan below the size threshold); a plan that collapses into a
-//!    *single* cone is levelized instead ([`build_wave`]): its steps are
-//!    sorted into dependency layers (writer-before-reader, including
-//!    write-after-read anti-dependencies) so one giant cone executes
-//!    layer by layer across workers — the wavefront pipeline;
-//! 2. executes cones on a lazily spawned global worker pool
-//!    ([`pool_run`]) against a raw, `Send + Sync` view of the value
-//!    slots ([`SlotsView`]) — safe because the compile-time partition
-//!    proves every variable is written by at most one cone and read
-//!    only by cones that also own it. The pool schedules by work
-//!    stealing: each executor owns a deque filled at submit time, pops
-//!    it LIFO, and steals FIFO from the others when it runs dry, so one
-//!    unbalanced cone no longer serializes the replay;
+//!    replicated off-thread (no [`ParKernel`], or a non-plain write
+//!    target);
+//! 2. executes the cones against a raw view of the value slots
+//!    ([`SlotsView`]) — inline on the calling thread when the costliest
+//!    cone is below the network's per-task floor, otherwise on a lazily
+//!    spawned global work-stealing pool ([`pool_run`]). Sharing the view
+//!    is sound because the partition proves every variable is written
+//!    by at most one cone and read only by cones that also own it; debug
+//!    builds assert that proof on every slot access;
 //! 3. mirrors the sequential replay's statistics exactly
-//!    ([`run_cone`]), so a successful parallel replay is byte-identical
-//!    to [`run_plan`](crate::Network) — and any deviation (overwrite
-//!    denial, unsatisfied constraint) aborts the attempt, restores every
-//!    write, and falls back to the sequential path, which *is* the
-//!    ground truth.
+//!    ([`run_cone`]), so a successful kernel replay is byte-identical to
+//!    `run_plan` — and any deviation (overwrite denial, unsatisfied
+//!    constraint) aborts the attempt, restores every write, and falls
+//!    back to the sequential path, which *is* the ground truth;
+//! 4. skips the final check wherever a kernel already proved it: a
+//!    `Copy`/`Apply` step whose writes all landed (or found the value
+//!    already there) leaves its constraint *established*, and only the
+//!    visited constraints left unestablished are re-tested.
 //!
 //! The pool is hermetic (std threads + `Mutex`/`Condvar`, no
 //! dependencies) and global: engine workers share it, submitting jobs
@@ -42,9 +41,9 @@ use crate::justification::{DependencyRecord, Justification};
 use crate::network::{Network, ValueSlot};
 use crate::plan::{PlanOp, PropPlan};
 use crate::value::Value;
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 // The whole design rests on value state crossing threads; fail the build,
@@ -55,29 +54,24 @@ const _: () = {
     assert_send_sync::<Justification>();
 };
 
-/// Counters for the parallel replay path, kept separate from
+/// Counters for the kernel replay path, kept separate from
 /// [`Stats`](crate::Stats) so the core propagation statistics stay
 /// byte-identical across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParStats {
-    /// Planned replays served by the parallel path (cones executed on the
-    /// worker pool, including overlapped batch replays).
+    /// Planned replays served by the cone kernels, inline or on the
+    /// worker pool.
     pub plan_replays_parallel: u64,
-    /// Total cones executed across all parallel replays.
+    /// Total cones executed across all kernel replays.
     pub cones_executed: u64,
-    /// Planned replays that wanted the parallel path but ran sequentially:
-    /// the plan has no partition (single unlayerable cone, below
-    /// threshold, or an unkernelable step), or the parallel attempt
-    /// aborted (violation).
+    /// Planned replays that wanted the kernel path but ran sequentially:
+    /// the plan has no partition (an unkernelable step or a non-plain
+    /// write target), or the kernel attempt aborted (violation).
     pub parallel_fallbacks: u64,
-    /// Committed parallel replays that executed as a levelized wavefront
-    /// (one giant cone pipelined layer-by-layer) rather than as
-    /// independent cones. Deterministic for a fixed op sequence.
-    pub plan_replays_wavefront: u64,
-    /// Pool tasks (cones or wavefront chunks) claimed by an executor
-    /// other than the owner of their deque, summed over committed
-    /// replays. Schedule-dependent: this counter varies run to run and
-    /// is excluded from determinism digests and differential stats.
+    /// Pool tasks (cones) claimed by an executor other than the owner of
+    /// their deque, summed over committed replays. Schedule-dependent:
+    /// this counter varies run to run and is excluded from determinism
+    /// digests and differential stats.
     pub cones_stolen: u64,
 }
 
@@ -170,15 +164,15 @@ pub enum ParKernel {
 /// A write target resolved against a cone's local mark table: the global
 /// slot index plus the cone-local liveness index.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ParWrite {
-    pub(crate) var: VarId,
+struct ParWrite {
+    var: VarId,
     /// Index into the owning cone's `var_marks`.
-    pub(crate) local: u32,
+    local: u32,
 }
 
 /// A [`ParKernel`] with its write targets resolved to cone-local indices.
 #[derive(Debug, Clone)]
-pub(crate) enum ConeKernel {
+enum ConeKernel {
     Check,
     Copy {
         source: VarId,
@@ -195,19 +189,24 @@ pub(crate) enum ConeKernel {
 /// position in the sequential plan so the final-check order can be
 /// reconstructed by merging cones.
 #[derive(Debug, Clone)]
-pub(crate) struct ParStep {
-    pub(crate) plan_idx: u32,
-    pub(crate) op: PlanOp,
-    pub(crate) cid: ConstraintId,
+struct ParStep {
+    plan_idx: u32,
+    op: PlanOp,
+    cid: ConstraintId,
     /// Cone-local index of the trigger variable for activation steps;
     /// `u32::MAX` for [`PlanOp::RunScheduled`] (entry-gated instead).
-    pub(crate) trigger: u32,
+    trigger: u32,
     /// Cone-local agenda-entry index for `Schedule*`/`RunScheduled`
     /// steps; `u32::MAX` elsewhere.
-    pub(crate) entry: u32,
+    entry: u32,
     /// Cone-local constraint index, deduplicating the visited sweep.
-    pub(crate) cid_local: u32,
-    pub(crate) kernel: ConeKernel,
+    cid_local: u32,
+    /// Whether a fully landed run of this step's kernel proves its
+    /// constraint satisfied: a `Copy`, or an `Apply` whose result is not
+    /// also one of its inputs (writing such a result changes the inputs
+    /// the satisfaction test recomputes from). Decided at build time.
+    establishes: bool,
+    kernel: ConeKernel,
 }
 
 /// Per-replay counter deltas accumulated by one cone, merged into
@@ -223,49 +222,46 @@ pub(crate) struct ConeCounters {
 }
 
 /// A cone's mutable replay state. Owned by the cone (inside the cached
-/// plan), so repeated replays reuse the allocations — the parallel
+/// plan), so repeated replays reuse the allocations — the kernel-path
 /// analogue of the sequential path's pooled `PropState`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConeScratch {
-    /// Epoch for the mark tables below; bumped once per replay.
+    /// Epoch for the mark tables below; bumped once per replay, never 0.
     epoch: u32,
     /// Per cone-local variable: epoch of the replay in which it last
     /// changed (index 0 is the root, live by fiat).
     var_marks: Vec<u32>,
     /// Per cone-local constraint: epoch of its first live dispatch.
     cid_marks: Vec<u32>,
+    /// Per cone-local constraint: the current epoch while the
+    /// constraint's latest live step was a kernel run that established
+    /// it; anything else means it still needs the final check.
+    est_marks: Vec<u32>,
     /// Per cone-local agenda entry: epoch of its first live sighting.
     entry_marks: Vec<u32>,
     /// Pre-images of this replay's writes (each variable at most once:
     /// plans are single-writer). Drained into the journal on commit,
     /// written back on abort.
     pub(crate) pre: Vec<(VarId, Value, Justification)>,
-    /// Constraints dispatched live this replay, tagged with the plan
-    /// index of their first sighting for cross-cone order recovery.
-    pub(crate) visited: Vec<(u32, ConstraintId)>,
+    /// Constraints dispatched live this replay and left unestablished,
+    /// tagged with the plan index of their first sighting for cross-cone
+    /// order recovery (and their cone-local index while the cone runs).
+    checks: Vec<(u32, ConstraintId, u32)>,
     pub(crate) counters: ConeCounters,
     /// An overwrite was denied mid-cone: the sequential interpreter
-    /// would have raised a violation here, so the whole parallel attempt
+    /// would have raised a violation here, so the whole kernel attempt
     /// must abort and fall back.
-    pub(crate) failed: bool,
+    failed: bool,
 }
 
 /// One independent component of a plan's post-root dependency graph.
 #[derive(Debug, Clone)]
 pub(crate) struct ParCone {
-    pub(crate) steps: Vec<ParStep>,
+    /// Position in the partition: the owner id the debug slot table
+    /// records for this cone's writes.
+    ix: u32,
+    steps: Vec<ParStep>,
     pub(crate) scratch: ConeScratch,
-}
-
-/// How a plan's parallel body executes: as independent cones, or as one
-/// levelized cone pipelined layer-by-layer.
-#[derive(Debug, Clone)]
-pub(crate) enum ParExec {
-    /// Two or more independent cones, one pool task each.
-    Cones(Vec<ParCone>),
-    /// A single connected cone whose steps were levelized into
-    /// dependency layers; each layer fans out across chunk tasks.
-    Wave(WavePlan),
 }
 
 /// The cone partition of one compiled plan, stored alongside the
@@ -274,90 +270,75 @@ pub(crate) enum ParExec {
 /// structural edit invalidates both at once.
 #[derive(Debug, Clone)]
 pub(crate) struct ParPlan {
-    /// Sorted, deduplicated indices of every variable any step touches
-    /// (arguments of every stepped constraint, plus the root). Two plans
-    /// with disjoint `refs` may replay concurrently.
-    pub(crate) refs: Vec<u32>,
     /// Strength of every constraint slot (tombstoned included —
     /// justifications may still reference them), indexed by
     /// `ConstraintId::index`. Snapshotted at compile time so overwrite
     /// arbitration runs off-thread without touching the `Rc` kinds.
-    pub(crate) strengths: Vec<u8>,
-    /// Executing-step count of the costliest single pool task (the
-    /// biggest cone, or the widest wavefront layer). The replay-time
-    /// admission heuristic compares this against
-    /// `Network::set_parallel_cone_min_steps`: when every task is below
-    /// the floor, pool hand-off costs more than it buys and the replay
-    /// runs the kernels inline on one thread instead.
+    strengths: Vec<u8>,
+    /// Executing-step count of the costliest cone. The replay compares
+    /// it against `Network::set_parallel_min_steps`: below the floor,
+    /// pool hand-off costs more than it buys and the kernels run inline
+    /// on the calling thread.
     pub(crate) max_task_exec: u32,
     /// Pool tasks stolen during the most recent committed replay of
     /// this plan (diagnostic only — surfaced by the inspector).
     pub(crate) last_stolen: u64,
-    pub(crate) exec: ParExec,
+    pub(crate) cones: Vec<ParCone>,
+    /// Debug builds: the owning cone of every slot a cone writes
+    /// ([`NO_OWNER`] elsewhere), indexed by variable — the disjoint-write
+    /// proof [`SlotsView`] asserts on each access. Empty in release.
+    owners: Vec<u32>,
 }
 
-/// One task's committed scratch: its counter block plus the pre-image
-/// buffer the commit/abort paths drain.
-pub(crate) type TaskScratchRef<'a> = (ConeCounters, &'a mut Vec<(VarId, Value, Justification)>);
-
 impl ParPlan {
-    /// Whether this plan's variable set is disjoint from `other` (both
-    /// sorted): the admission test for overlapping two roots' replays.
-    pub(crate) fn refs_disjoint(a: &[u32], b: &[u32]) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
+    /// Runs every cone against `slots` — on the calling thread when
+    /// `threads <= 1`, otherwise across the worker pool — and returns the
+    /// number of cones stolen. The caller has already written the root.
+    pub(crate) fn replay(&mut self, slots: &mut [ValueSlot], threads: usize) -> u64 {
+        let view = SlotsView::new(slots, &self.owners);
+        let strengths: &[u8] = &self.strengths;
+        if threads <= 1 || self.cones.len() <= 1 {
+            for cone in &mut self.cones {
+                run_cone(cone, &view, strengths);
             }
+            return 0;
         }
-        true
+        // Each task index is claimed exactly once, so every lock is
+        // uncontended; the mutex only hands out the `&mut` safely.
+        let tasks: Vec<Mutex<&mut ParCone>> = self.cones.iter_mut().map(Mutex::new).collect();
+        pool_run(tasks.len(), threads, &|t| {
+            let mut cone = tasks[t]
+                .lock()
+                .expect("each cone is locked once per replay, so never poisoned");
+            run_cone(&mut cone, &view, strengths);
+        })
     }
 
-    /// Merges sorted `src` into sorted `dst` (used to accumulate a
-    /// batch group's combined footprint).
-    pub(crate) fn merge_refs(dst: &mut Vec<u32>, src: &[u32]) {
-        let mut merged = Vec::with_capacity(dst.len() + src.len());
-        let (mut i, mut j) = (0, 0);
-        while i < dst.len() && j < src.len() {
-            match dst[i].cmp(&src[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(dst[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(src[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(dst[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&dst[i..]);
-        merged.extend_from_slice(&src[j..]);
-        *dst = merged;
+    /// Whether any cone hit an overwrite denial this replay.
+    pub(crate) fn failed(&self) -> bool {
+        self.cones.iter().any(|c| c.scratch.failed)
     }
 
-    /// Per-task `(counters, pre-image buffer)` pairs in plan order —
-    /// cone order for a partition, chunk order for a wavefront; both
-    /// orders are plan order, so a first-write-wins drain over them
-    /// journals exactly what the sequential replay would.
-    pub(crate) fn tasks_mut(&mut self) -> Box<dyn Iterator<Item = TaskScratchRef<'_>> + '_> {
-        match &mut self.exec {
-            ParExec::Cones(cones) => Box::new(
-                cones
-                    .iter_mut()
-                    .map(|c| (c.scratch.counters, &mut c.scratch.pre)),
-            ),
-            ParExec::Wave(w) => Box::new(
-                w.chunks
-                    .iter_mut()
-                    .map(|c| (c.scratch.counters, &mut c.scratch.pre)),
-            ),
+    /// The visited constraints no kernel established, in the sequential
+    /// replay's first-visit order.
+    pub(crate) fn pending_checks(&self) -> Vec<(u32, ConstraintId)> {
+        let mut out: Vec<(u32, ConstraintId)> = self
+            .cones
+            .iter()
+            .flat_map(|c| c.scratch.checks.iter().map(|&(ix, cid, _)| (ix, cid)))
+            .collect();
+        out.sort_unstable_by_key(|&(ix, _)| ix);
+        out
+    }
+
+    /// Writes every pre-image back (abort path).
+    pub(crate) fn undo(&mut self, slots: &mut [ValueSlot]) {
+        for cone in &mut self.cones {
+            for (var, value, justification) in cone.scratch.pre.drain(..) {
+                let s = &mut slots[var.index()];
+                s.value = value;
+                s.justification = justification;
+            }
         }
     }
 }
@@ -366,82 +347,89 @@ impl ParPlan {
 // Raw slot view
 // ----------------------------------------------------------------------
 
-/// A raw, thread-shareable view of the network's value-slot arena.
-///
-/// # Safety
+/// Owner-table entry for a slot no cone writes (the root, read-only
+/// ambient inputs, and everything outside the plan).
+const NO_OWNER: u32 = u32::MAX;
+
+/// A raw, thread-shareable view of the network's value-slot arena,
+/// exclusively borrowed for `'a` so the owning thread cannot touch the
+/// slots while workers hold the view.
 ///
 /// Soundness comes entirely from the compile-time partition:
 ///
 /// - every variable is *written* by at most one cone (plans are
 ///   single-writer and cones partition the write set);
 /// - every variable a cone *reads* is either written by that same cone,
-///   the root (written by the main thread before launch, read-only
+///   the root (written by the calling thread before launch, read-only
 ///   during), or written by no cone at all — a variable read by cone A
 ///   and written by cone B would be an argument of constraints in both,
-///   forcing A and B into the same component;
-/// - for overlapped roots, plans run together only when their `refs`
-///   sets are pairwise disjoint.
+///   forcing A and B into the same component.
 ///
-/// The view must not outlive the replay that created it, and the main
-/// thread must not touch the slot vector while workers hold the view.
-pub(crate) struct SlotsView {
+/// Debug builds carry the partition's owner table and assert both rules
+/// on every access, so the differential suites check the proof at run
+/// time.
+struct SlotsView<'a> {
     ptr: *mut ValueSlot,
     len: usize,
+    owners: &'a [u32],
+    _slots: PhantomData<&'a mut [ValueSlot]>,
 }
 
-unsafe impl Send for SlotsView {}
-unsafe impl Sync for SlotsView {}
+// SAFETY: the view is only ever shared by reference with the pool tasks
+// of one replay, and every access through it obeys the partition
+// discipline above (each slot has one writer and no concurrent reader of
+// another cone). `ValueSlot`'s contents are `Send + Sync` (checked at
+// the top of this module).
+unsafe impl Sync for SlotsView<'_> {}
 
-impl SlotsView {
-    pub(crate) fn new(ptr: *mut ValueSlot, len: usize) -> Self {
-        SlotsView { ptr, len }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must uphold the partition discipline documented on the
-    /// type: no other thread writes `ix` while the borrow lives.
-    unsafe fn get(&self, ix: usize) -> &ValueSlot {
-        debug_assert!(ix < self.len);
-        &*self.ptr.add(ix)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must own `ix`'s write partition exclusively.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, ix: usize) -> &mut ValueSlot {
-        debug_assert!(ix < self.len);
-        &mut *self.ptr.add(ix)
-    }
-}
-
-/// One pool task: a cone paired with its plan's strength table. The
-/// `UnsafeCell` hands each worker exclusive `&mut` access to its cone —
-/// sound because [`pool_run`] dispatches every task index to exactly one
-/// executor.
-pub(crate) struct ConeTask<'a> {
-    cone: UnsafeCell<&'a mut ParCone>,
-    strengths: &'a [u8],
-}
-
-unsafe impl Sync for ConeTask<'_> {}
-
-impl<'a> ConeTask<'a> {
-    pub(crate) fn new(cone: &'a mut ParCone, strengths: &'a [u8]) -> Self {
-        ConeTask {
-            cone: UnsafeCell::new(cone),
-            strengths,
+impl<'a> SlotsView<'a> {
+    fn new(slots: &'a mut [ValueSlot], owners: &'a [u32]) -> Self {
+        SlotsView {
+            ptr: slots.as_mut_ptr(),
+            len: slots.len(),
+            owners,
+            _slots: PhantomData,
         }
     }
 
+    /// Owner of slot `ix` per the debug table.
+    fn owner(&self, ix: usize) -> u32 {
+        self.owners.get(ix).copied().unwrap_or(NO_OWNER)
+    }
+
+    /// Shared access to `var`'s slot from cone `cone`.
+    ///
     /// # Safety
     ///
-    /// Must be called at most once per replay, by the one worker that
-    /// claimed this task index.
-    pub(crate) unsafe fn run(&self, slots: &SlotsView) {
-        let cone: &mut ParCone = &mut **self.cone.get();
-        run_cone(cone, slots, self.strengths);
+    /// No other cone may write `var` during the replay: it must be
+    /// written by `cone` itself or by no cone at all.
+    unsafe fn get(&self, var: VarId, cone: u32) -> &ValueSlot {
+        let ix = var.index();
+        debug_assert!(ix < self.len);
+        debug_assert!(
+            matches!(self.owner(ix), o if o == NO_OWNER || o == cone),
+            "cone {cone} reads {var}, written by cone {}",
+            self.owner(ix)
+        );
+        &*self.ptr.add(ix)
+    }
+
+    /// Exclusive access to `var`'s slot from cone `cone`.
+    ///
+    /// # Safety
+    ///
+    /// `cone` must be `var`'s single writer, and no reference from an
+    /// earlier `get`/`get_mut` of the same slot may still be live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get_mut(&self, var: VarId, cone: u32) -> &mut ValueSlot {
+        let ix = var.index();
+        debug_assert!(ix < self.len);
+        debug_assert!(
+            self.owner(ix) == cone,
+            "cone {cone} writes {var}, owned by cone {}",
+            self.owner(ix)
+        );
+        &mut *self.ptr.add(ix)
     }
 }
 
@@ -453,20 +441,21 @@ impl<'a> ConeTask<'a> {
 enum WriteGate {
     /// Perform the write.
     Proceed,
-    /// Silently keep the existing value (equal value, or a stronger
-    /// propagation already holds the slot).
-    Skip,
+    /// The slot already holds the value (the value pruning).
+    Equal,
+    /// A stronger propagation holds the slot: keep it silently.
+    Yield,
     /// The sequential interpreter would raise `overwrite_denied` (or the
     /// slot's state is outside this plan's compile-time snapshot): abort
-    /// the parallel attempt and let the sequential fallback reproduce
-    /// the outcome exactly.
+    /// the kernel attempt and let the sequential fallback reproduce the
+    /// outcome exactly.
     Deny,
 }
 
 /// The planned branch of `propagate_set` plus the [`PlainKind`]
 /// overwrite rule (build-time admission guarantees every target is
-/// plain): equal value → skip (the value pruning); user-justified →
-/// deny; weaker propagation → skip; else proceed. A justification whose
+/// plain): equal value → equal (the value pruning); user-justified →
+/// deny; weaker propagation → yield; else proceed. A justification whose
 /// constraint lies outside the compile-time strength snapshot denies
 /// too — per-root invalidation makes that unreachable (any edit
 /// touching a plan's footprint evicts it), but the fallback is always
@@ -480,7 +469,7 @@ fn arbitrate_write(
     source: ConstraintId,
 ) -> WriteGate {
     if s.value == *value {
-        return WriteGate::Skip; // Unchanged: downstream steps stay pruned
+        return WriteGate::Equal;
     }
     if !s.value.is_nil() {
         match &s.justification {
@@ -488,7 +477,7 @@ fn arbitrate_write(
             Justification::Propagated { constraint, .. } => {
                 match strengths.get(constraint.index()) {
                     Some(&held) if strengths[source.index()] < held => {
-                        return WriteGate::Skip; // Ignored: weaker propagation yields
+                        return WriteGate::Yield;
                     }
                     Some(_) => {}
                     None => return WriteGate::Deny,
@@ -500,23 +489,24 @@ fn arbitrate_write(
     WriteGate::Proceed
 }
 
-/// One propagated write against the raw slot view: arbitrate, then
-/// write, saving the pre-image and marking the target live.
-unsafe fn write_slot(
+/// One propagated write into the target's slot: arbitrate, then write,
+/// saving the pre-image and marking the target live. Returns whether the
+/// slot now holds `value` (written, or already equal).
+fn write_slot(
     scratch: &mut ConeScratch,
-    slots: &SlotsView,
+    s: &mut ValueSlot,
     strengths: &[u8],
     target: ParWrite,
     value: Value,
     source: ConstraintId,
     record: DependencyRecord,
-) {
-    let s = slots.get_mut(target.var.index());
+) -> bool {
     match arbitrate_write(s, &value, strengths, source) {
-        WriteGate::Skip => return,
+        WriteGate::Equal => return true,
+        WriteGate::Yield => return false,
         WriteGate::Deny => {
             scratch.failed = true;
-            return;
+            return false;
         }
         WriteGate::Proceed => {}
     }
@@ -531,24 +521,28 @@ unsafe fn write_slot(
     scratch.pre.push((target.var, pre_value, pre_just));
     scratch.var_marks[target.local as usize] = scratch.epoch;
     scratch.counters.assignments += 1;
+    true
 }
 
 /// Replays one cone against the slot view, mirroring the sequential
 /// `run_plan` walk: per-step liveness gating via the epoch marks, the
 /// same counter increments at the same sites, and the same first-live
 /// constraint visit order (recorded with plan indices for the merged
-/// final check).
-pub(crate) fn run_cone(cone: &mut ParCone, slots: &SlotsView, strengths: &[u8]) {
+/// final check). Every live step of a constraint re-decides whether it
+/// is established; only a kernel run that establishes it sets the mark.
+fn run_cone(cone: &mut ParCone, slots: &SlotsView, strengths: &[u8]) {
+    let owner = cone.ix;
     let scratch = &mut cone.scratch;
     scratch.epoch = scratch.epoch.wrapping_add(1);
     if scratch.epoch == 0 {
         scratch.var_marks.iter_mut().for_each(|m| *m = 0);
         scratch.cid_marks.iter_mut().for_each(|m| *m = 0);
+        scratch.est_marks.iter_mut().for_each(|m| *m = 0);
         scratch.entry_marks.iter_mut().for_each(|m| *m = 0);
         scratch.epoch = 1;
     }
     scratch.pre.clear();
-    scratch.visited.clear();
+    scratch.checks.clear();
     scratch.counters = ConeCounters::default();
     scratch.failed = false;
     let epoch = scratch.epoch;
@@ -556,427 +550,128 @@ pub(crate) fn run_cone(cone: &mut ParCone, slots: &SlotsView, strengths: &[u8]) 
     // unconditionally, equal value or not.
     scratch.var_marks[0] = epoch;
     for step in &cone.steps {
-        if step.op == PlanOp::RunScheduled {
+        let c = step.cid_local as usize;
+        let established = if step.op == PlanOp::RunScheduled {
             if scratch.entry_marks[step.entry as usize] != epoch {
                 continue; // never actually scheduled this replay
             }
             scratch.counters.scheduled_runs += 1;
             scratch.counters.inferences += 1;
-            run_kernel(scratch, slots, strengths, step);
+            run_kernel(scratch, slots, strengths, step, owner)
         } else {
             if scratch.var_marks[step.trigger as usize] != epoch {
                 continue; // value-pruned
             }
-            if scratch.cid_marks[step.cid_local as usize] != epoch {
-                scratch.cid_marks[step.cid_local as usize] = epoch;
-                scratch.visited.push((step.plan_idx, step.cid));
+            if scratch.cid_marks[c] != epoch {
+                scratch.cid_marks[c] = epoch;
+                scratch
+                    .checks
+                    .push((step.plan_idx, step.cid, step.cid_local));
             }
             scratch.counters.activations += 1;
             match step.op {
                 PlanOp::Immediate => {
                     scratch.counters.inferences += 1;
-                    run_kernel(scratch, slots, strengths, step);
+                    run_kernel(scratch, slots, strengths, step, owner)
                 }
-                PlanOp::NoActivate => {}
+                PlanOp::NoActivate => false,
                 _ => {
                     if scratch.entry_marks[step.entry as usize] != epoch {
                         scratch.entry_marks[step.entry as usize] = epoch;
                         scratch.counters.schedules += 1;
                     }
+                    false
                 }
             }
-        }
-        if scratch.failed {
-            break;
-        }
-    }
-}
-
-fn run_kernel(scratch: &mut ConeScratch, slots: &SlotsView, strengths: &[u8], step: &ParStep) {
-    match &step.kernel {
-        ConeKernel::Check => {}
-        ConeKernel::Copy { source, targets } => {
-            // SAFETY: `source` is cone-owned or the root (read-only
-            // during replay); targets are this cone's exclusive writes.
-            let new_value = unsafe { slots.get(source.index()) }.value.clone();
-            if new_value.is_nil() {
-                return; // a Nil change propagates nothing
-            }
-            for &t in targets {
-                unsafe {
-                    write_slot(
-                        scratch,
-                        slots,
-                        strengths,
-                        t,
-                        new_value.clone(),
-                        step.cid,
-                        DependencyRecord::Single(*source),
-                    );
-                }
-                if scratch.failed {
-                    return;
-                }
-            }
-        }
-        ConeKernel::Apply { op, inputs, result } => {
-            // SAFETY: inputs are cone-owned, the root, or written by no
-            // cone; the result is this cone's exclusive write.
-            let computed = unsafe {
-                if inputs.iter().any(|&v| slots.get(v.index()).value.is_nil()) {
-                    None
-                } else {
-                    op.apply(inputs.iter().map(|&v| &slots.get(v.index()).value))
-                }
-            };
-            let Some(value) = computed else {
-                return; // no information: the constraint does not fire
-            };
-            unsafe {
-                write_slot(
-                    scratch,
-                    slots,
-                    strengths,
-                    *result,
-                    value,
-                    step.cid,
-                    DependencyRecord::All,
-                );
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Wavefront execution (one giant cone, pipelined layer-by-layer)
-// ----------------------------------------------------------------------
-
-/// Minimum executing steps per wavefront chunk — below this, splitting a
-/// layer finer only adds hand-off latency.
-const WAVE_CHUNK_MIN_EXEC: usize = 4;
-
-/// Maximum chunks one layer fans out into.
-const MAX_WAVE_CHUNKS: usize = 8;
-
-/// Replay state shared by every chunk of a wavefront: the liveness mark
-/// tables become atomic because chunks of the *same* layer race on them
-/// (value slots never race — levelization separates a variable's writer
-/// from all of its readers, in both directions).
-#[derive(Debug, Default)]
-pub(crate) struct WaveMarks {
-    /// Epoch for the mark tables; bumped once per replay.
-    epoch: u32,
-    /// Per cone-local variable: epoch of the replay in which it last
-    /// changed (index 0 is the root, live by fiat). Written by the
-    /// variable's single writer step, read by strictly later layers.
-    var_marks: Vec<AtomicU32>,
-    /// Per cone-local agenda entry: epoch of its first live sighting.
-    /// `swap` makes the schedules counter exactly-once across chunks.
-    entry_marks: Vec<AtomicU32>,
-    /// Per cone-local constraint: minimum plan index of a live dispatch
-    /// this replay (`u32::MAX` = none). `fetch_min` makes the merged
-    /// visited order deterministic — the minimum is the first dispatch
-    /// in plan order, exactly what the sequential replay records —
-    /// regardless of which chunk got there first in wall time.
-    cid_first: Vec<AtomicU32>,
-    /// An overwrite was denied somewhere: stop dispatching layers and
-    /// abort the attempt.
-    failed: AtomicBool,
-}
-
-impl Clone for WaveMarks {
-    fn clone(&self) -> Self {
-        let load = |v: &[AtomicU32]| {
-            v.iter()
-                .map(|m| AtomicU32::new(m.load(Ordering::Relaxed)))
-                .collect()
         };
-        WaveMarks {
-            epoch: self.epoch,
-            var_marks: load(&self.var_marks),
-            entry_marks: load(&self.entry_marks),
-            cid_first: load(&self.cid_first),
-            failed: AtomicBool::new(self.failed.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A chunk's private replay state: pre-images of its writes and its
-/// share of the counter deltas.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ChunkScratch {
-    pub(crate) pre: Vec<(VarId, Value, Justification)>,
-    pub(crate) counters: ConeCounters,
-}
-
-/// A contiguous plan-order slice of one dependency layer, executed as
-/// one pool task. Static chunking keeps the journal drain order (chunk
-/// order = plan order) deterministic under any steal schedule.
-#[derive(Debug, Clone)]
-pub(crate) struct WaveChunk {
-    steps: Vec<ParStep>,
-    pub(crate) scratch: ChunkScratch,
-}
-
-/// A levelized single-cone plan: `chunks` grouped into `layers`, each
-/// layer a barrier — layer `k+1` launches only after every chunk of
-/// layer `k` completed (the pool join provides the happens-before).
-#[derive(Debug, Clone)]
-pub(crate) struct WavePlan {
-    pub(crate) chunks: Vec<WaveChunk>,
-    /// Half-open chunk index ranges, one per layer.
-    pub(crate) layers: Vec<(u32, u32)>,
-    pub(crate) marks: WaveMarks,
-    /// Cone-local constraint index → global id, for reconstructing the
-    /// visited list from `cid_first` on commit.
-    cid_of: Vec<ConstraintId>,
-}
-
-impl WavePlan {
-    pub(crate) fn failed(&self) -> bool {
-        self.marks.failed.load(Ordering::Relaxed)
-    }
-
-    /// Reconstructs the first-live-dispatch list in plan order.
-    pub(crate) fn collect_visited(&self, out: &mut Vec<(u32, ConstraintId)>) {
-        for (local, first) in self.marks.cid_first.iter().enumerate() {
-            let first = first.load(Ordering::Relaxed);
-            if first != u32::MAX {
-                out.push((first, self.cid_of[local]));
-            }
-        }
-    }
-}
-
-/// One wavefront pool task: a chunk plus the shared mark tables.
-pub(crate) struct WaveTask<'a> {
-    chunk: UnsafeCell<&'a mut WaveChunk>,
-    marks: &'a WaveMarks,
-    strengths: &'a [u8],
-}
-
-unsafe impl Sync for WaveTask<'_> {}
-
-impl<'a> WaveTask<'a> {
-    pub(crate) fn new(chunk: &'a mut WaveChunk, marks: &'a WaveMarks, strengths: &'a [u8]) -> Self {
-        WaveTask {
-            chunk: UnsafeCell::new(chunk),
-            marks,
-            strengths,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Must be called at most once per layer launch, by the one worker
-    /// that claimed this task index.
-    pub(crate) unsafe fn run(&self, slots: &SlotsView, epoch: u32) {
-        let chunk: &mut WaveChunk = &mut **self.chunk.get();
-        run_wave_chunk(chunk, self.marks, slots, self.strengths, epoch);
-    }
-}
-
-/// Replays a levelized cone: reset the shared marks, then run each layer
-/// across the pool with a join barrier between layers. Returns the steal
-/// count accumulated over all layers.
-pub(crate) fn run_wave(
-    wave: &mut WavePlan,
-    slots: &SlotsView,
-    strengths: &[u8],
-    threads: usize,
-) -> u64 {
-    let WavePlan {
-        chunks,
-        layers,
-        marks,
-        ..
-    } = wave;
-    marks.epoch = marks.epoch.wrapping_add(1);
-    if marks.epoch == 0 {
-        for m in &marks.var_marks {
-            m.store(0, Ordering::Relaxed);
-        }
-        for m in &marks.entry_marks {
-            m.store(0, Ordering::Relaxed);
-        }
-        marks.epoch = 1;
-    }
-    for m in &marks.cid_first {
-        m.store(u32::MAX, Ordering::Relaxed);
-    }
-    marks.failed.store(false, Ordering::Relaxed);
-    let epoch = marks.epoch;
-    // The root (local index 0) is live by fiat, as in `run_cone`.
-    marks.var_marks[0].store(epoch, Ordering::Relaxed);
-    for chunk in chunks.iter_mut() {
-        chunk.scratch.pre.clear();
-        chunk.scratch.counters = ConeCounters::default();
-    }
-    let marks: &WaveMarks = marks;
-    let mut stolen = 0;
-    for &(start, end) in layers.iter() {
-        if marks.failed.load(Ordering::Relaxed) {
-            break;
-        }
-        let layer = &mut chunks[start as usize..end as usize];
-        let tasks: Vec<WaveTask> = layer
-            .iter_mut()
-            .map(|c| WaveTask::new(c, marks, strengths))
-            .collect();
-        // SAFETY: pool_run dispatches each task index exactly once; the
-        // join before returning gives layer k's writes a happens-before
-        // edge to layer k+1's reads.
-        stolen += pool_run(tasks.len(), threads, &|t| unsafe {
-            tasks[t].run(slots, epoch)
-        });
-    }
-    stolen
-}
-
-/// Executes one chunk's steps, mirroring `run_cone` step-for-step but
-/// against the shared atomic mark tables.
-fn run_wave_chunk(
-    chunk: &mut WaveChunk,
-    marks: &WaveMarks,
-    slots: &SlotsView,
-    strengths: &[u8],
-    epoch: u32,
-) {
-    let scratch = &mut chunk.scratch;
-    for step in &chunk.steps {
-        if marks.failed.load(Ordering::Relaxed) {
+        if scratch.failed {
             return;
         }
-        if step.op == PlanOp::RunScheduled {
-            if marks.entry_marks[step.entry as usize].load(Ordering::Relaxed) != epoch {
-                continue; // never actually scheduled this replay
-            }
-            scratch.counters.scheduled_runs += 1;
-            scratch.counters.inferences += 1;
-            run_wave_kernel(scratch, marks, slots, strengths, step, epoch);
-        } else {
-            if marks.var_marks[step.trigger as usize].load(Ordering::Relaxed) != epoch {
-                continue; // value-pruned
-            }
-            marks.cid_first[step.cid_local as usize].fetch_min(step.plan_idx, Ordering::Relaxed);
-            scratch.counters.activations += 1;
-            match step.op {
-                PlanOp::Immediate => {
-                    scratch.counters.inferences += 1;
-                    run_wave_kernel(scratch, marks, slots, strengths, step, epoch);
-                }
-                PlanOp::NoActivate => {}
-                _ => {
-                    if marks.entry_marks[step.entry as usize].swap(epoch, Ordering::Relaxed)
-                        != epoch
-                    {
-                        scratch.counters.schedules += 1;
-                    }
-                }
-            }
-        }
+        scratch.est_marks[c] = if established { epoch } else { 0 };
     }
+    let est = &scratch.est_marks;
+    scratch.checks.retain(|&(_, _, l)| est[l as usize] != epoch);
 }
 
-fn run_wave_kernel(
-    scratch: &mut ChunkScratch,
-    marks: &WaveMarks,
+/// Whether `v` equals itself — false exactly when a NaN hides in it, in
+/// which case no equality or functional test over it can succeed.
+#[allow(clippy::eq_op)]
+fn reflexive(v: &Value) -> bool {
+    v == v
+}
+
+/// Runs one step's kernel; returns whether the run established the
+/// step's constraint: every write landed or found its value already in
+/// place, the value equals itself (a NaN never satisfies an equality
+/// test), and the step is one whose landing proves satisfaction.
+fn run_kernel(
+    scratch: &mut ConeScratch,
     slots: &SlotsView,
     strengths: &[u8],
     step: &ParStep,
-    epoch: u32,
-) {
+    owner: u32,
+) -> bool {
     match &step.kernel {
-        ConeKernel::Check => {}
+        ConeKernel::Check => false,
         ConeKernel::Copy { source, targets } => {
-            // SAFETY: levelization puts this read strictly after the
-            // source's writer layer (or the source is the root/ambient,
-            // written before launch); targets are this step's exclusive
-            // writes.
-            let new_value = unsafe { slots.get(source.index()) }.value.clone();
+            // SAFETY: the source is an argument of this step's constraint,
+            // so it is written by this cone or by no cone (the root among
+            // them); the clone ends the shared borrow before any write.
+            let new_value = unsafe { slots.get(*source, owner) }.value.clone();
             if new_value.is_nil() {
-                return; // a Nil change propagates nothing
+                return false; // a Nil change propagates nothing
             }
+            let mut landed = step.establishes && reflexive(&new_value);
             for &t in targets {
-                unsafe {
-                    wave_write_slot(
-                        scratch,
-                        marks,
-                        slots,
-                        strengths,
-                        t,
-                        new_value.clone(),
-                        step.cid,
-                        DependencyRecord::Single(*source),
-                        epoch,
-                    );
+                // SAFETY: build_par gave this cone the single write of
+                // every target, and the borrow ends with `write_slot`.
+                let s = unsafe { slots.get_mut(t.var, owner) };
+                let record = DependencyRecord::Single(*source);
+                landed &= write_slot(
+                    scratch,
+                    s,
+                    strengths,
+                    t,
+                    new_value.clone(),
+                    step.cid,
+                    record,
+                );
+                if scratch.failed {
+                    return false;
                 }
             }
+            landed
         }
         ConeKernel::Apply { op, inputs, result } => {
-            // SAFETY: as above — every cone-written input is in an
-            // earlier layer; the result is this step's exclusive write.
+            // SAFETY: inputs are arguments of this step's constraint —
+            // written by this cone or by no cone — and the computed value
+            // owns its data, so the shared borrows end here.
             let computed = unsafe {
-                if inputs.iter().any(|&v| slots.get(v.index()).value.is_nil()) {
+                if inputs.iter().any(|&v| slots.get(v, owner).value.is_nil()) {
                     None
                 } else {
-                    op.apply(inputs.iter().map(|&v| &slots.get(v.index()).value))
+                    op.apply(inputs.iter().map(|&v| &slots.get(v, owner).value))
                 }
             };
             let Some(value) = computed else {
-                return; // no information: the constraint does not fire
+                return false; // no information: the constraint does not fire
             };
-            unsafe {
-                wave_write_slot(
-                    scratch,
-                    marks,
-                    slots,
-                    strengths,
-                    *result,
-                    value,
-                    step.cid,
-                    DependencyRecord::All,
-                    epoch,
-                );
-            }
+            let holds_itself = reflexive(&value);
+            // SAFETY: the result is this cone's exclusive write (build_par),
+            // and no input borrow is live any more.
+            let s = unsafe { slots.get_mut(result.var, owner) };
+            let landed = write_slot(
+                scratch,
+                s,
+                strengths,
+                *result,
+                value,
+                step.cid,
+                DependencyRecord::All,
+            );
+            step.establishes && holds_itself && landed
         }
     }
-}
-
-/// The wavefront twin of [`write_slot`]: same arbitration, pre-image to
-/// the chunk's scratch, liveness mark through the shared atomic table.
-#[allow(clippy::too_many_arguments)]
-unsafe fn wave_write_slot(
-    scratch: &mut ChunkScratch,
-    marks: &WaveMarks,
-    slots: &SlotsView,
-    strengths: &[u8],
-    target: ParWrite,
-    value: Value,
-    source: ConstraintId,
-    record: DependencyRecord,
-    epoch: u32,
-) {
-    let s = slots.get_mut(target.var.index());
-    match arbitrate_write(s, &value, strengths, source) {
-        WriteGate::Skip => return,
-        WriteGate::Deny => {
-            marks.failed.store(true, Ordering::Relaxed);
-            return;
-        }
-        WriteGate::Proceed => {}
-    }
-    let pre_value = std::mem::replace(&mut s.value, value);
-    let pre_just = std::mem::replace(
-        &mut s.justification,
-        Justification::Propagated {
-            constraint: source,
-            record,
-        },
-    );
-    scratch.pre.push((target.var, pre_value, pre_just));
-    marks.var_marks[target.local as usize].store(epoch, Ordering::Relaxed);
-    scratch.counters.assignments += 1;
 }
 
 // ----------------------------------------------------------------------
@@ -1003,35 +698,17 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) {
 }
 
 /// Partitions a compiled plan into independent cones, resolving each
-/// executing step's [`ParKernel`]. Returns `None` — leaving the plan on
-/// the sequential path — when:
+/// executing step's [`ParKernel`]. Every kernelizable plan gets a
+/// partition, one cone or many; whether a replay engages the pool is
+/// decided per replay against the network's floor. Returns `None` —
+/// leaving the plan on the sequential path — when:
 ///
-/// - the plan has fewer executing steps than `min_exec_steps` (small
-///   plans must not pay pool hand-off latency);
 /// - any executing step's kind offers no kernel, or the kernel's write
 ///   set disagrees with `planned_writes` (a buggy third-party kind);
 /// - any write target is not a plain-kind variable (the off-thread
-///   overwrite rule is `PlainKind`'s);
-/// - the steps form a single connected component whose dependency
-///   layers are all single-file ([`build_wave`] refuses a pure chain).
-pub(crate) fn build_par(
-    net: &Network,
-    root: VarId,
-    plan: &PropPlan,
-    min_exec_steps: usize,
-) -> Option<Box<ParPlan>> {
+///   overwrite rule is `PlainKind`'s).
+pub(crate) fn build_par(net: &Network, root: VarId, plan: &PropPlan) -> Option<Box<ParPlan>> {
     let n = plan.ops.len();
-    if n == 0 {
-        return None;
-    }
-    let exec_steps = plan
-        .ops
-        .iter()
-        .filter(|&&op| matches!(op, PlanOp::Immediate | PlanOp::RunScheduled))
-        .count();
-    if exec_steps < min_exec_steps {
-        return None;
-    }
     // Resolve kernels first (cheap bail before the union-find work).
     let mut kernels: Vec<Option<ParKernel>> = Vec::with_capacity(n);
     for i in 0..n {
@@ -1090,178 +767,36 @@ pub(crate) fn build_par(
         });
         builds[cix].push_step(plan, i, kernel.take())?;
     }
-    // Combined variable footprint for batch-overlap admission.
-    let mut refs: Vec<u32> = Vec::with_capacity(var_owner.len() + 1);
-    refs.push(root.0);
-    refs.extend(var_owner.keys().map(|v| v.0));
-    refs.sort_unstable();
-    refs.dedup();
-    let strengths = net.constraint_slot_strengths();
-    if builds.len() < 2 {
-        // A single connected component has no cones to overlap, but it
-        // may still pipeline across its dependency layers.
-        let build = builds.pop()?;
-        let (wave, widest) = build_wave(build)?;
-        return Some(Box::new(ParPlan {
-            refs,
-            strengths,
-            max_task_exec: widest,
-            last_stolen: 0,
-            exec: ParExec::Wave(wave),
-        }));
-    }
     let max_task_exec = builds.iter().map(ConeBuild::exec_steps).max().unwrap_or(0);
+    let cones: Vec<ParCone> = builds
+        .into_iter()
+        .enumerate()
+        .map(|(ix, b)| b.finish(ix as u32))
+        .collect();
+    let mut owners = Vec::new();
+    if cfg!(debug_assertions) {
+        owners = vec![NO_OWNER; net.n_variables()];
+        for cone in &cones {
+            for step in &cone.steps {
+                match &step.kernel {
+                    ConeKernel::Check => {}
+                    ConeKernel::Copy { targets, .. } => {
+                        for t in targets {
+                            owners[t.var.index()] = cone.ix;
+                        }
+                    }
+                    ConeKernel::Apply { result, .. } => owners[result.var.index()] = cone.ix,
+                }
+            }
+        }
+    }
     Some(Box::new(ParPlan {
-        refs,
-        strengths,
+        strengths: net.constraint_slot_strengths(),
         max_task_exec,
         last_stolen: 0,
-        exec: ParExec::Cones(builds.into_iter().map(ConeBuild::finish).collect()),
+        cones,
+        owners,
     }))
-}
-
-/// Levelizes a single connected cone into dependency layers for
-/// wavefront execution. A step's layer is one past the deepest layer it
-/// depends on: the writer of its activation trigger, the schedulers of
-/// its agenda entry, the writers of every cone-local variable its kernel
-/// reads (read-after-write), and the readers of every variable it writes
-/// (write-after-read — the sequential replay may read a pre-write value
-/// that a same-layer write would clobber). Returns `None` when no layer
-/// holds two executing steps — a pure chain gains nothing from the
-/// pipeline and stays on the sequential path.
-fn build_wave(build: ConeBuild) -> Option<(WavePlan, u32)> {
-    const NONE: u32 = u32::MAX;
-    fn after(lvl: &mut u32, dep: u32) {
-        if dep != NONE {
-            *lvl = (*lvl).max(dep + 1);
-        }
-    }
-    fn raise(slot: &mut u32, lvl: u32) {
-        if *slot == NONE || *slot < lvl {
-            *slot = lvl;
-        }
-    }
-    let ConeBuild {
-        steps,
-        local_vars,
-        local_cids,
-        local_entries,
-    } = build;
-    let mut writer_level = vec![NONE; local_vars.len()];
-    let mut reader_level = vec![NONE; local_vars.len()];
-    let mut entry_level = vec![NONE; local_entries.len()];
-    let mut level_of: Vec<u32> = Vec::with_capacity(steps.len());
-    for step in &steps {
-        let mut lvl = 0u32;
-        if step.op == PlanOp::RunScheduled {
-            after(&mut lvl, entry_level[step.entry as usize]);
-        } else if step.trigger != 0 {
-            // The liveness gate reads the trigger's mark, stamped by its
-            // single writer step (the root, local 0, is pre-stamped).
-            after(&mut lvl, writer_level[step.trigger as usize]);
-        }
-        match &step.kernel {
-            ConeKernel::Check => {}
-            ConeKernel::Copy { source, targets } => {
-                if let Some(&l) = local_vars.get(source) {
-                    after(&mut lvl, writer_level[l as usize]);
-                }
-                for t in targets {
-                    after(&mut lvl, reader_level[t.local as usize]);
-                }
-            }
-            ConeKernel::Apply { inputs, result, .. } => {
-                for v in inputs {
-                    if let Some(&l) = local_vars.get(v) {
-                        after(&mut lvl, writer_level[l as usize]);
-                    }
-                }
-                after(&mut lvl, reader_level[result.local as usize]);
-            }
-        }
-        match &step.kernel {
-            ConeKernel::Check => {}
-            ConeKernel::Copy { source, targets } => {
-                if let Some(&l) = local_vars.get(source) {
-                    raise(&mut reader_level[l as usize], lvl);
-                }
-                for t in targets {
-                    writer_level[t.local as usize] = lvl;
-                }
-            }
-            ConeKernel::Apply { inputs, result, .. } => {
-                for v in inputs {
-                    if let Some(&l) = local_vars.get(v) {
-                        raise(&mut reader_level[l as usize], lvl);
-                    }
-                }
-                writer_level[result.local as usize] = lvl;
-            }
-        }
-        if !matches!(
-            step.op,
-            PlanOp::RunScheduled | PlanOp::Immediate | PlanOp::NoActivate
-        ) {
-            raise(&mut entry_level[step.entry as usize], lvl);
-        }
-        level_of.push(lvl);
-    }
-    let n_levels = level_of.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut per_level: Vec<Vec<ParStep>> = Vec::new();
-    per_level.resize_with(n_levels, Vec::new);
-    for (step, &lvl) in steps.into_iter().zip(&level_of) {
-        per_level[lvl as usize].push(step);
-    }
-    let layer_exec = |lvl_steps: &[ParStep]| {
-        lvl_steps
-            .iter()
-            .filter(|s| matches!(s.op, PlanOp::Immediate | PlanOp::RunScheduled))
-            .count()
-    };
-    let widest = per_level.iter().map(|l| layer_exec(l)).max().unwrap_or(0) as u32;
-    if widest < 2 {
-        return None;
-    }
-    let mut chunks: Vec<WaveChunk> = Vec::new();
-    let mut layers: Vec<(u32, u32)> = Vec::with_capacity(per_level.len());
-    for lvl_steps in per_level {
-        let n_chunks = (layer_exec(&lvl_steps) / WAVE_CHUNK_MIN_EXEC)
-            .clamp(1, MAX_WAVE_CHUNKS)
-            .min(lvl_steps.len());
-        let start = chunks.len() as u32;
-        let m = lvl_steps.len();
-        let (base, extra) = (m / n_chunks, m % n_chunks);
-        let mut it = lvl_steps.into_iter();
-        for i in 0..n_chunks {
-            let take = base + usize::from(i < extra);
-            chunks.push(WaveChunk {
-                steps: it.by_ref().take(take).collect(),
-                scratch: ChunkScratch::default(),
-            });
-        }
-        layers.push((start, chunks.len() as u32));
-    }
-    let mut pairs: Vec<(u32, ConstraintId)> = local_cids.iter().map(|(&c, &l)| (l, c)).collect();
-    pairs.sort_unstable_by_key(|p| p.0);
-    let cid_of: Vec<ConstraintId> = pairs.into_iter().map(|p| p.1).collect();
-    let marks = WaveMarks {
-        epoch: 0,
-        var_marks: (0..local_vars.len()).map(|_| AtomicU32::new(0)).collect(),
-        entry_marks: (0..local_entries.len())
-            .map(|_| AtomicU32::new(0))
-            .collect(),
-        cid_first: (0..cid_of.len()).map(|_| AtomicU32::new(NONE)).collect(),
-        failed: AtomicBool::new(false),
-    };
-    Some((
-        WavePlan {
-            chunks,
-            layers,
-            marks,
-            cid_of,
-        },
-        widest,
-    ))
 }
 
 /// Accumulator for one cone during partitioning: step list plus the
@@ -1308,21 +843,26 @@ impl ConeBuild {
                 .entry(plan.entry_of[i])
                 .or_insert(n_entries)
         };
-        let kernel = match kernel {
-            None => ConeKernel::Check, // non-executing step
-            Some(ParKernel::Check) => ConeKernel::Check,
-            Some(ParKernel::Copy { source, targets }) => ConeKernel::Copy {
-                source,
-                targets: targets
-                    .into_iter()
-                    .map(|v| self.add_write(v))
-                    .collect::<Option<Vec<_>>>()?,
-            },
-            Some(ParKernel::Apply { op, inputs, result }) => ConeKernel::Apply {
-                op,
-                inputs,
-                result: self.add_write(result)?,
-            },
+        let (establishes, kernel) = match kernel {
+            None | Some(ParKernel::Check) => (false, ConeKernel::Check),
+            Some(ParKernel::Copy { source, targets }) => (
+                true,
+                ConeKernel::Copy {
+                    source,
+                    targets: targets
+                        .into_iter()
+                        .map(|v| self.add_write(v))
+                        .collect::<Option<Vec<_>>>()?,
+                },
+            ),
+            Some(ParKernel::Apply { op, inputs, result }) => (
+                !inputs.contains(&result),
+                ConeKernel::Apply {
+                    op,
+                    inputs,
+                    result: self.add_write(result)?,
+                },
+            ),
         };
         self.steps.push(ParStep {
             plan_idx: i as u32,
@@ -1331,6 +871,7 @@ impl ConeBuild {
             trigger,
             entry,
             cid_local,
+            establishes,
             kernel,
         });
         Some(())
@@ -1350,8 +891,8 @@ impl ConeBuild {
         }
     }
 
-    /// Executing-step count: the per-task cost input to the replay-time
-    /// admission heuristic.
+    /// Executing-step count: the per-task cost the replay compares
+    /// against the pool floor.
     fn exec_steps(&self) -> u32 {
         self.steps
             .iter()
@@ -1359,18 +900,21 @@ impl ConeBuild {
             .count() as u32
     }
 
-    fn finish(self) -> ParCone {
+    fn finish(self, ix: u32) -> ParCone {
+        let n_cids = self.local_cids.len();
         let scratch = ConeScratch {
             epoch: 0,
             var_marks: vec![0; self.local_vars.len()],
-            cid_marks: vec![0; self.local_cids.len()],
+            cid_marks: vec![0; n_cids],
+            est_marks: vec![0; n_cids],
             entry_marks: vec![0; self.local_entries.len()],
             pre: Vec::new(),
-            visited: Vec::new(),
+            checks: Vec::new(),
             counters: ConeCounters::default(),
             failed: false,
         };
         ParCone {
+            ix,
             steps: self.steps,
             scratch,
         }
@@ -1390,6 +934,10 @@ const MAX_POOL_WORKERS: usize = 64;
 /// workers only dereference the pointer while the slot is live).
 struct SendFnPtr(*const (dyn Fn(usize) + Sync));
 
+// SAFETY: the pointee is `Sync`, so calling it from helper threads is
+// sound; the pointer itself only crosses threads inside the pool lock,
+// and `pool_run` keeps the closure alive for as long as any helper can
+// reach it (see the type's doc).
 unsafe impl Send for SendFnPtr {}
 
 /// One submitted job: a closure plus per-executor work-stealing deques.
@@ -1398,8 +946,9 @@ unsafe impl Send for SendFnPtr {}
 /// was just handed, still cache-warm) and, when dry, sweeps the other
 /// deques from the front (FIFO — the oldest, least-contended work).
 /// Claims happen under the pool lock: on the hermetic target the lock is
-/// the synchronization point anyway, and it doubles as the
-/// happens-before barrier wavefront layers rely on.
+/// the synchronization point anyway, and completing a task under it
+/// gives the submitter a happens-before edge to every write the task
+/// made before `pool_run` returns.
 struct PoolJob {
     f: SendFnPtr,
     /// Per-executor deques, filled contiguously at submit time.
@@ -1582,7 +1131,10 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
     for t in 0..n_tasks {
         queues[t * n_queues / n_tasks].push_back(t);
     }
-    // Erase the closure's lifetime for the job slot; see `SendFnPtr`.
+    // SAFETY: only the lifetime is erased. The job slot holding the
+    // pointer is cleared below, after `outstanding` reached zero, before
+    // this function returns or unwinds (task panics are caught), so no
+    // helper dereferences it once `f` may be gone; see `SendFnPtr`.
     let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
     let ji = {
         let mut guard = pool.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1739,14 +1291,50 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 8);
     }
 
+    fn slots(n: usize) -> Vec<ValueSlot> {
+        (0..n)
+            .map(|_| ValueSlot {
+                value: Value::Nil,
+                justification: Justification::Unset,
+            })
+            .collect()
+    }
+
     #[test]
-    fn refs_disjoint_and_merge() {
-        assert!(ParPlan::refs_disjoint(&[1, 3, 5], &[2, 4, 6]));
-        assert!(!ParPlan::refs_disjoint(&[1, 3, 5], &[5, 9]));
-        assert!(ParPlan::refs_disjoint(&[], &[1]));
-        let mut acc = vec![1, 4];
-        ParPlan::merge_refs(&mut acc, &[2, 4, 7]);
-        assert_eq!(acc, vec![1, 2, 4, 7]);
+    fn slot_view_admits_the_partition() {
+        // Slot 0 is the root (no owner), 1 belongs to cone 1, 2 to cone 0.
+        let mut arena = slots(3);
+        let owners = [NO_OWNER, 1, 0];
+        let view = SlotsView::new(&mut arena, &owners);
+        // SAFETY: single-threaded; each borrow ends before the next.
+        unsafe {
+            view.get_mut(VarId(2), 0).value = Value::Int(7);
+            assert!(view.get(VarId(0), 0).value.is_nil());
+            assert_eq!(view.get(VarId(2), 0).value, Value::Int(7));
+            assert!(view.get(VarId(1), 1).value.is_nil());
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "cone 0 writes v1, owned by cone 1")]
+    fn slot_view_rejects_a_write_outside_the_owning_cone() {
+        let mut arena = slots(3);
+        let owners = [NO_OWNER, 1, 0];
+        let view = SlotsView::new(&mut arena, &owners);
+        // SAFETY: single-threaded; the debug owner table panics first.
+        unsafe { view.get_mut(VarId(1), 0) }.value = Value::Int(1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "cone 1 reads v2, written by cone 0")]
+    fn slot_view_rejects_a_read_of_another_cones_write() {
+        let mut arena = slots(3);
+        let owners = [NO_OWNER, 1, 0];
+        let view = SlotsView::new(&mut arena, &owners);
+        // SAFETY: single-threaded; the debug owner table panics first.
+        let _ = unsafe { view.get(VarId(2), 1) };
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub(crate) struct PropPlan {
     /// Number of distinct constraints the plan can touch — the static
     /// upper bound on the final satisfaction sweep, for display.
     pub(crate) n_checks: u32,
-    /// Cone partition for parallel replay ([`crate::par`]), built only
-    /// when the network's thread knob exceeds 1 and the plan admits a
-    /// partition. Stored inside the plan so [`PropPlan::generation`]
+    /// Cone-kernel partition ([`crate::par`]), built only when the
+    /// network's thread knob exceeds 1 and every executing step has a
+    /// kernel. Stored inside the plan so [`PropPlan::generation`]
     /// covers the cone tables: a structural edit invalidates the
     /// partition metadata together with the op vectors.
     pub(crate) par: Option<Box<ParPlan>>,
@@ -97,19 +97,15 @@ pub(crate) enum PlanSlot {
     Ready(Box<PropPlan>),
 }
 
-/// Diagnostic view of a root variable's parallel partition
+/// Diagnostic view of a root variable's kernel partition
 /// ([`crate::Network::plan_par_detail`]): enough to see replay shape and
 /// skew without a profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanParDetail {
-    /// Independent cones in the partition (1 for a wavefront plan).
+    /// Independent cones in the partition.
     pub cones: usize,
-    /// Wavefront layer depth (1 for independent cones — a single
-    /// barrier-free launch).
-    pub layers: usize,
-    /// Executing steps in the costliest single pool task (largest cone
-    /// or widest layer) — what the pool-admission floor compares
-    /// against.
+    /// Executing steps in the costliest cone — what the pool floor
+    /// compares against.
     pub max_task_exec: usize,
     /// Pool tasks stolen during the most recent committed parallel
     /// replay of this plan. Schedule-dependent; diagnostic only.

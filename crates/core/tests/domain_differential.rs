@@ -161,7 +161,6 @@ fn domain_propagation_is_byte_identical_across_paths() {
                 assert!(net.is_plan_caching());
                 net.set_parallel_threads(threads);
                 net.set_parallel_min_steps(1);
-                net.set_parallel_cone_min_steps(1);
                 net
             })
             .collect();

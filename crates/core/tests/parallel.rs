@@ -1,18 +1,23 @@
-//! Parallel plan replay: cone-partitioned execution must be
+//! Cone-kernel plan replay: partitioned execution must be
 //! byte-identical to the sequential planned path (which is itself
 //! differentially checked against the agenda interpreter) at every
 //! thread count — values, justifications, violations, handler calls and
 //! the core statistics block. These tests pin down the partition
-//! admission rules (size threshold, single component, kernel-less
-//! kinds), the abort-and-fallback paths (violations, overwrite
-//! denials), partition invalidation under structural edits, and the
-//! overlapped-batch path of `Network::set_all`.
+//! admission rules (kernel-less kinds), the per-task pool floor, the
+//! abort-and-fallback paths (violations, overwrite denials), partition
+//! invalidation under structural edits, and the final-check elision: a
+//! constraint a kernel established skips the final check, and every
+//! case where a landed kernel does *not* prove satisfaction must still
+//! be checked.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use stem_core::kinds::{Equality, Functional, Predicate};
-use stem_core::{Justification, Network, Value, VarId};
+use stem_core::{
+    ConstraintId, ConstraintKind, DependencyRecord, Justification, Network, Stats, Value, VarId,
+    Violation,
+};
 
 /// Canonical rendering of the full observable state.
 fn dump(net: &Network) -> String {
@@ -91,27 +96,32 @@ fn replay_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn below_threshold_plans_fall_back_to_sequential() {
+fn below_floor_plans_replay_their_kernels_inline() {
     let mut net = Network::new();
     net.set_parallel_threads(8);
-    // Default threshold: 8 cones × (1 + 4 + 1) = 48 executing steps < 256.
-    assert_eq!(net.parallel_min_steps(), 256);
-    let (src, _) = fanout(&mut net, "", 8, 4);
+    // Default floor: the costliest cone runs 1 + 4 + 1 = 6 steps < 1024,
+    // so the partition is built but never handed to the pool.
+    assert_eq!(net.parallel_min_steps(), 1024);
+    let (src, outs) = fanout(&mut net, "", 8, 4);
     net.set(src, Value::Int(2), Justification::User).unwrap();
     net.set(src, Value::Int(3), Justification::User).unwrap();
-    assert_eq!(net.plan_parallel_cones(src), None);
+    assert_eq!(net.value(outs[7]), &Value::Int(12));
+    assert_eq!(net.plan_parallel_cones(src), Some(8));
+    let detail = net.plan_par_detail(src).unwrap();
+    assert_eq!(detail.max_task_exec, 6);
     let ps = net.par_stats();
-    assert_eq!(ps.plan_replays_parallel, 0);
-    assert_eq!(ps.parallel_fallbacks, 2);
+    assert_eq!(ps.plan_replays_parallel, 2);
+    assert_eq!(ps.parallel_fallbacks, 0);
+    assert_eq!(ps.cones_stolen, 0, "inline replays never steal");
 }
 
 #[test]
-fn single_component_plans_fall_back_to_sequential() {
+fn single_component_plans_replay_as_one_cone() {
     let mut net = Network::new();
     net.set_parallel_threads(4);
     net.set_parallel_min_steps(1);
     // One equality chain: every step shares a variable with the next, so
-    // there is exactly one cone and nothing to overlap.
+    // there is exactly one cone — it still runs through the kernels.
     let vars: Vec<_> = (0..6).map(|i| net.add_variable(format!("c{i}"))).collect();
     for w in vars.windows(2) {
         net.add_constraint(Equality::new(), [w[0], w[1]]).unwrap();
@@ -119,8 +129,9 @@ fn single_component_plans_fall_back_to_sequential() {
     net.set(vars[0], Value::Int(9), Justification::User)
         .unwrap();
     assert_eq!(net.value(vars[5]), &Value::Int(9));
-    assert_eq!(net.plan_parallel_cones(vars[0]), None);
-    assert_eq!(net.par_stats().parallel_fallbacks, 1);
+    assert_eq!(net.plan_parallel_cones(vars[0]), Some(1));
+    assert_eq!(net.par_stats().plan_replays_parallel, 1);
+    assert_eq!(net.par_stats().parallel_fallbacks, 0);
 }
 
 #[test]
@@ -228,80 +239,14 @@ fn structural_edit_invalidates_partition_with_plan() {
 }
 
 #[test]
-fn set_all_overlaps_disjoint_roots_and_matches_sequential() {
-    let build = |threads: usize| {
-        let mut net = Network::new();
-        net.set_parallel_threads(threads);
-        net.set_parallel_min_steps(1);
-        let (a, _) = fanout(&mut net, "a", 3, 4);
-        let (b, _) = fanout(&mut net, "b", 3, 4);
-        let (c, _) = fanout(&mut net, "c", 3, 4);
-        (net, a, b, c)
-    };
-    let (mut seq, a, b, c) = build(1);
-    for (v, x) in [(a, 10), (b, 20), (c, 30), (a, 11)] {
-        seq.set(v, Value::Int(x), Justification::User).unwrap();
-    }
-    let (mut par, a, b, c) = build(8);
-    // Warm the plans so the batch path sees ready partitions.
-    for v in [a, b, c] {
-        par.set(v, Value::Int(1), Justification::User).unwrap();
-    }
-    par.reset_stats();
-    par.set_all(vec![
-        (a, Value::Int(10), Justification::User),
-        (b, Value::Int(20), Justification::User),
-        (c, Value::Int(30), Justification::User),
-        // Repeated root: not disjoint with the first group, must land
-        // after it — last-wins ordering is observable.
-        (a, Value::Int(11), Justification::User),
-    ])
-    .unwrap();
-    assert_eq!(dump(&par), dump(&seq));
-    let ps = par.par_stats();
-    // One overlapped group of three plus one straggler replay.
-    assert_eq!(ps.plan_replays_parallel, 4);
-    assert_eq!(ps.cones_executed, 4 * 3);
-    // The batch's cache hits reconcile with the replay counters.
-    assert_eq!(
-        par.stats().plan_cache_hits,
-        ps.plan_replays_parallel + ps.parallel_fallbacks
-    );
-}
-
-#[test]
-fn set_all_reports_the_failing_index_and_keeps_the_prefix() {
-    let (mut net, src, outs) = parallel_net(4, 4, 4);
-    net.add_constraint(Predicate::le_const(Value::Int(40)), [outs[0]])
-        .unwrap();
-    let lone = net.add_variable("lone");
-    let err = net
-        .set_all(vec![
-            (lone, Value::Int(5), Justification::User),
-            (src, Value::Int(100), Justification::User), // 4·100 > 40
-            (lone, Value::Int(6), Justification::User),
-        ])
-        .unwrap_err();
-    assert_eq!(err.0, 1);
-    // The prefix committed; the violating set restored; the tail never ran.
-    assert_eq!(net.value(lone), &Value::Int(5));
-    assert!(net.value(src).is_nil());
-}
-
-#[test]
-fn set_all_without_parallelism_is_a_plain_loop() {
-    let mut net = Network::new();
-    let (src, outs) = fanout(&mut net, "", 2, 3);
-    net.set_all(vec![(src, Value::Int(4), Justification::User)])
-        .unwrap();
-    assert_eq!(net.value(outs[1]), &Value::Int(12));
-    assert_eq!(net.par_stats(), stem_core::ParStats::default());
-}
-
-#[test]
 fn repeated_runs_are_deterministic() {
+    // At the default floor these 10-step cones replay inline, so even
+    // the steal count belongs to the deterministic state (the pooled
+    // twin of this test is the stealing one below).
     let run = || {
-        let (mut net, src, _) = parallel_net(8, 8, 8);
+        let mut net = Network::new();
+        net.set_parallel_threads(8);
+        let (src, _) = fanout(&mut net, "", 8, 8);
         for round in 0..10i64 {
             net.set(src, Value::Int(round), Justification::User)
                 .unwrap();
@@ -315,52 +260,11 @@ fn repeated_runs_are_deterministic() {
 }
 
 #[test]
-fn wavefront_pipelines_single_giant_cone_and_matches_sequential() {
-    // One connected cone: src —eq→ head, head —eq→ 12 mirrors, sum into
-    // out. PR 7's partitioner found a single component here and fell
-    // back; the wavefront path must levelize it (mirrors form one wide
-    // layer) and stay byte-identical at every thread count.
-    let mut reference: Option<(String, String)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let mut net = Network::new();
-        net.set_parallel_threads(threads);
-        net.set_parallel_min_steps(1);
-        net.set_parallel_cone_min_steps(1); // force real pool dispatch
-        let (src, outs) = fanout(&mut net, "", 1, 12);
-        for round in 0..5i64 {
-            net.set(src, Value::Int(round + 2), Justification::User)
-                .unwrap();
-        }
-        assert_eq!(net.value(outs[0]), &Value::Int(6 * 12));
-        if threads > 1 {
-            assert_eq!(net.plan_parallel_cones(src), Some(1), "one wave cone");
-            let detail = net.plan_par_detail(src).unwrap();
-            assert_eq!(detail.cones, 1);
-            assert!(detail.layers >= 2, "mirrors form a later layer");
-            assert_eq!(detail.max_task_exec, 12, "widest layer: the mirrors");
-            let ps = net.par_stats();
-            assert_eq!(ps.plan_replays_parallel, 5);
-            assert_eq!(ps.plan_replays_wavefront, 5);
-            assert_eq!(ps.cones_executed, 5);
-            assert_eq!(ps.parallel_fallbacks, 0);
-        } else {
-            assert_eq!(net.plan_parallel_cones(src), None);
-        }
-        let state = (dump(&net), format!("{:?}", net.stats()));
-        match &reference {
-            None => reference = Some(state),
-            Some(r) => assert_eq!(r, &state, "diverged at {threads} threads"),
-        }
-    }
-}
-
-#[test]
-fn wavefront_violation_aborts_and_matches_sequential() {
+fn single_cone_violation_aborts_and_matches_sequential() {
     let run = |threads: usize| {
         let mut net = Network::new();
         net.set_parallel_threads(threads);
         net.set_parallel_min_steps(1);
-        net.set_parallel_cone_min_steps(1);
         let (src, outs) = fanout(&mut net, "", 1, 10);
         net.add_constraint(Predicate::le_const(Value::Int(40)), [outs[0]])
             .unwrap();
@@ -379,13 +283,12 @@ fn wavefront_violation_aborts_and_matches_sequential() {
 
 #[test]
 fn stealing_pool_replay_is_deterministic_modulo_steal_count() {
-    // With the per-task floor lowered, replays really cross the pool, so
+    // With the per-task floor at 1, replays really cross the pool, so
     // thieves can claim cones. Everything observable must still be
     // byte-identical run to run; only `cones_stolen` (and the
     // per-plan `last_stolen` diagnostic) may vary with the schedule.
     let run = || {
         let (mut net, src, _) = parallel_net(8, 8, 8);
-        net.set_parallel_cone_min_steps(1);
         for round in 0..10i64 {
             net.set(src, Value::Int(round), Justification::User)
                 .unwrap();
@@ -443,4 +346,200 @@ fn thread_knob_clamps_and_drops_plans() {
     net.set(src, Value::Int(2), Justification::User).unwrap();
     assert_eq!(net.plan_parallel_cones(src), Some(4));
     assert_eq!(net.stats().plan_compiles, 2);
+}
+
+// ----------------------------------------------------------------------
+// Final-check elision: each case below lands every kernel write yet
+// leaves its constraint unsatisfied, so the check must still run. Every
+// network runs at 2 threads twice — pool forced (floor 1) and at the
+// default floor (inline) — against an agenda twin with plan caching off.
+// ----------------------------------------------------------------------
+
+/// The observable state of one twin after one operation: the `set`
+/// outcome, every value and justification, and the core statistics with
+/// the plan-cache counters (which the agenda never moves) zeroed.
+fn observe(net: &Network, outcome: &Result<(), Violation>) -> (String, String, String) {
+    let s = Stats {
+        plan_compiles: 0,
+        plan_cache_hits: 0,
+        plan_cache_invalidations: 0,
+        ..net.stats()
+    };
+    (format!("{outcome:?}"), dump(net), format!("{s:?}"))
+}
+
+/// Builds one network per twin with `build`, applies `sets` (variable
+/// index, value, justification) to each, and asserts both kernel twins
+/// match the agenda twin after every set. Returns the kernel twins'
+/// cumulative counters so callers can prove the kernel path ran.
+fn assert_kernel_twins_match_agenda(
+    build: impl Fn(&mut Network),
+    sets: &[(usize, Value, Justification)],
+) -> Vec<stem_core::ParStats> {
+    let mut agenda = Network::new();
+    agenda.set_plan_caching(false);
+    build(&mut agenda);
+    let mut twins: Vec<Network> = [Some(1), None]
+        .into_iter()
+        .map(|floor| {
+            let mut net = Network::new();
+            net.set_parallel_threads(2);
+            if let Some(f) = floor {
+                net.set_parallel_min_steps(f);
+            }
+            build(&mut net);
+            net
+        })
+        .collect();
+    // Twice through: the first pass compiles each root's plan, the second
+    // replays it from the cache.
+    for pass in 0..2 {
+        for (i, (ix, value, justification)) in sets.iter().enumerate() {
+            let var = VarId::from_index(*ix);
+            let want = agenda.set(var, value.clone(), justification.clone());
+            let want = observe(&agenda, &want);
+            for (t, net) in twins.iter_mut().enumerate() {
+                let got = net.set(var, value.clone(), justification.clone());
+                assert_eq!(
+                    observe(net, &got),
+                    want,
+                    "twin {t} (0 = pool, 1 = inline) diverged at pass {pass} set {i}"
+                );
+            }
+        }
+    }
+    twins.iter().map(Network::par_stats).collect()
+}
+
+#[test]
+fn elision_checks_a_sum_whose_result_is_one_of_its_inputs() {
+    // `acc = acc + b`: args [acc, b, acc] make `acc` both an input and
+    // the result. Writing the sum changes an input, so the landed write
+    // proves nothing and the final check must catch 1 + 5 != 6.
+    let stats = assert_kernel_twins_match_agenda(
+        |net| {
+            let r = net.add_variable("r");
+            let b = net.add_variable("b");
+            let acc = net.add_variable("acc");
+            net.add_constraint(Equality::new(), [r, b]).unwrap();
+            net.add_constraint(Functional::uni_addition(), [acc, b, acc])
+                .unwrap();
+        },
+        &[
+            (2, Value::Int(1), Justification::Application),
+            (0, Value::Int(5), Justification::User), // violates
+            (0, Value::Int(0), Justification::User), // acc + 0 == acc
+        ],
+    );
+    for ps in stats {
+        assert!(
+            ps.plan_replays_parallel > 0,
+            "kernel path never ran: {ps:?}"
+        );
+    }
+}
+
+#[test]
+fn elision_checks_values_that_are_not_equal_to_themselves() {
+    // `y = 0·x + 1` turns x = ∞ into NaN, and an equality copies a NaN
+    // root verbatim. Every write lands, yet NaN != NaN fails both the
+    // functional and the equality test.
+    let stats = assert_kernel_twins_match_agenda(
+        |net| {
+            let r = net.add_variable("r");
+            let x = net.add_variable("x");
+            let y = net.add_variable("y");
+            net.add_constraint(Equality::new(), [r, x]).unwrap();
+            net.add_constraint(Functional::uni_scale(0.0, 1.0), [x, y])
+                .unwrap();
+        },
+        &[
+            (0, Value::Float(2.0), Justification::User),
+            (0, Value::Float(f64::INFINITY), Justification::User), // y = NaN
+            (0, Value::Float(f64::NAN), Justification::User),      // x = NaN
+            (0, Value::Float(3.0), Justification::User),
+        ],
+    );
+    for ps in stats {
+        assert!(
+            ps.plan_replays_parallel > 0,
+            "kernel path never ran: {ps:?}"
+        );
+    }
+}
+
+/// A strength-5 copy `args[0] → args[1]`: holds its target against the
+/// default strength-1 equality.
+#[derive(Debug)]
+struct Pin;
+
+impl ConstraintKind for Pin {
+    fn kind_name(&self) -> &str {
+        "pin"
+    }
+    fn strength(&self) -> u8 {
+        5
+    }
+    fn should_activate(&self, net: &Network, cid: ConstraintId, changed: VarId) -> bool {
+        changed == net.args(cid)[0]
+    }
+    fn infer(
+        &self,
+        net: &mut Network,
+        cid: ConstraintId,
+        _changed: Option<VarId>,
+    ) -> Result<(), Violation> {
+        let (src, target) = (net.args(cid)[0], net.args(cid)[1]);
+        let value = net.value(src).clone();
+        if !value.is_nil() {
+            net.propagate_set(target, value, cid, DependencyRecord::Single(src))?;
+        }
+        Ok(())
+    }
+    fn is_satisfied(&self, _net: &Network, _cid: ConstraintId) -> bool {
+        true
+    }
+    fn outputs(&self, net: &Network, cid: ConstraintId) -> Vec<VarId> {
+        vec![net.args(cid)[1]]
+    }
+    fn planned_writes(
+        &self,
+        net: &Network,
+        cid: ConstraintId,
+        changed: Option<VarId>,
+    ) -> Option<Vec<VarId>> {
+        let args = net.args(cid);
+        Some(if changed == Some(args[0]) {
+            vec![args[1]]
+        } else {
+            Vec::new()
+        })
+    }
+}
+
+#[test]
+fn elision_checks_an_equality_whose_target_yields_to_a_stronger_value() {
+    // `x` holds 3 from the strength-5 pin; the equality's copy of 7
+    // yields, so `r = x` stays violated and must be reported exactly as
+    // the agenda reports it.
+    let stats = assert_kernel_twins_match_agenda(
+        |net| {
+            let r = net.add_variable("r");
+            let x = net.add_variable("x");
+            let p = net.add_variable("p");
+            net.add_constraint(Equality::new(), [r, x]).unwrap();
+            net.add_constraint(Pin, [p, x]).unwrap();
+        },
+        &[
+            (2, Value::Int(3), Justification::User), // pins x = 3
+            (0, Value::Int(7), Justification::User), // yields, violates
+            (0, Value::Int(3), Justification::User), // already equal
+        ],
+    );
+    for ps in stats {
+        assert!(
+            ps.plan_replays_parallel > 0,
+            "kernel path never ran: {ps:?}"
+        );
+    }
 }

@@ -90,7 +90,6 @@ fn planned_path_is_byte_identical_to_agenda_on_random_networks() {
     let mut total_compiles = 0u64;
     let mut total_violations = 0u64;
     let mut total_parallel_replays = 0u64;
-    let mut total_parallel_wavefronts = 0u64;
     let mut total_parallel_steals = 0u64;
     let mut total_parallel_fallbacks = 0u64;
     let mut saw_uncompilable = false;
@@ -106,11 +105,9 @@ fn planned_path_is_byte_identical_to_agenda_on_random_networks() {
                 assert!(net.is_plan_caching());
                 net.set_parallel_threads(threads);
                 // Tiny random cones would never clear the production
-                // thresholds; floor both so partitioning actually runs
-                // and replays really cross the work-stealing pool
-                // (instead of the inline below-cost path).
+                // floor; drop it so replays really cross the
+                // work-stealing pool (instead of running inline).
                 net.set_parallel_min_steps(1);
-                net.set_parallel_cone_min_steps(1);
                 net
             })
             .collect();
@@ -214,7 +211,6 @@ fn planned_path_is_byte_identical_to_agenda_on_random_networks() {
         total_compiles += s.plan_compiles;
         let ps = planned.last().unwrap().par_stats();
         total_parallel_replays += ps.plan_replays_parallel;
-        total_parallel_wavefronts += ps.plan_replays_wavefront;
         total_parallel_steals += ps.cones_stolen;
         total_parallel_fallbacks += ps.parallel_fallbacks;
         // The deterministic parallel counters must agree across the
@@ -257,10 +253,6 @@ fn planned_path_is_byte_identical_to_agenda_on_random_networks() {
     assert!(
         total_parallel_fallbacks > 0,
         "the 8-thread twin never fell back — admission rules untested"
-    );
-    assert!(
-        total_parallel_wavefronts > 0,
-        "no single-cone plan ever ran as a wavefront — levelizer untested"
     );
     // Not asserted > 0: steal counts are schedule-dependent and may
     // legitimately be 0 on a quiet machine. Folded in so the sweep

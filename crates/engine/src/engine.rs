@@ -71,10 +71,10 @@ pub struct EngineConfig {
     /// Replay thread budget installed in every session network
     /// ([`stem_core::Network::set_parallel_threads`]). At the default of
     /// 1 every propagation is sequential; above 1, cached plans are
-    /// cone-partitioned and replayed on a shared worker pool, and
-    /// consecutive `Set` commands in one batch whose plans touch
-    /// disjoint variables replay overlapped. Observable behaviour is
-    /// identical at every setting — only wall-clock changes.
+    /// lowered to cone kernels, replayed inline or — for cones above the
+    /// network's per-task floor — on a shared worker pool. Observable
+    /// behaviour is identical at every setting — only wall-clock
+    /// changes.
     pub propagation_threads: usize,
 }
 
@@ -1388,7 +1388,6 @@ impl Worker {
                     stats.wipeouts = net_stats.wipeouts;
                     let par_stats = sess.net.par_stats();
                     stats.plan_replays_parallel = par_stats.plan_replays_parallel;
-                    stats.plan_replays_wavefront = par_stats.plan_replays_wavefront;
                     stats.cones_executed = par_stats.cones_executed;
                     stats.cones_stolen = par_stats.cones_stolen;
                     stats.parallel_fallbacks = par_stats.parallel_fallbacks;
@@ -1675,9 +1674,6 @@ impl Worker {
                     .plan_replays_parallel
                     .fetch_add(d.plan_replays_parallel, Ordering::Relaxed);
                 counters
-                    .plan_replays_wavefront
-                    .fetch_add(d.plan_replays_wavefront, Ordering::Relaxed);
-                counters
                     .cones_executed
                     .fetch_add(d.cones_executed, Ordering::Relaxed);
                 counters
@@ -1909,7 +1905,6 @@ struct BatchDelta {
     plan_cache_hits: u64,
     plan_cache_invalidations: u64,
     plan_replays_parallel: u64,
-    plan_replays_wavefront: u64,
     cones_executed: u64,
     cones_stolen: u64,
     parallel_fallbacks: u64,
@@ -1930,9 +1925,6 @@ fn delta(before: Stats, before_par: ParStats, after: Stats, after_par: ParStats)
         plan_replays_parallel: after_par
             .plan_replays_parallel
             .saturating_sub(before_par.plan_replays_parallel),
-        plan_replays_wavefront: after_par
-            .plan_replays_wavefront
-            .saturating_sub(before_par.plan_replays_wavefront),
         cones_executed: after_par
             .cones_executed
             .saturating_sub(before_par.cones_executed),
@@ -2016,37 +2008,12 @@ type CommandFailure = (usize, stem_core::Violation);
 /// Applies a batch in order, consuming the commands: payloads (`Value`s,
 /// names, argument vectors) move into the network instead of being cloned
 /// per command.
-///
-/// On a thread-enabled network, a run of consecutive `Set` commands is
-/// handed to [`Network::set_all`] as one group so replays of
-/// variable-disjoint roots can overlap on the worker pool. The grouping
-/// is semantically inert — `set_all` applies its assignments in order
-/// and reports the in-group index of a violation, which maps straight
-/// back to the failing command's batch index.
 fn apply_all(net: &mut Network, commands: Vec<Command>) -> Result<Vec<Output>, CommandFailure> {
-    use stem_core::Justification;
-    let mut outputs = Vec::with_capacity(commands.len());
-    let group_sets = net.parallel_threads() > 1;
-    let mut iter = commands.into_iter().enumerate().peekable();
-    while let Some((ix, cmd)) = iter.next() {
-        if group_sets {
-            if let Command::Set { var, value, source } = cmd {
-                let mut sets = vec![(var, value, Justification::from(source))];
-                while matches!(iter.peek(), Some((_, Command::Set { .. }))) {
-                    let Some((_, Command::Set { var, value, source })) = iter.next() else {
-                        unreachable!("peeked a Set");
-                    };
-                    sets.push((var, value, Justification::from(source)));
-                }
-                let n = sets.len();
-                net.set_all(sets).map_err(|(k, v)| (ix + k, v))?;
-                outputs.extend(std::iter::repeat_with(|| Output::Unit).take(n));
-                continue;
-            }
-        }
-        outputs.push(apply_one(net, cmd).map_err(|v| (ix, v))?);
-    }
-    Ok(outputs)
+    commands
+        .into_iter()
+        .enumerate()
+        .map(|(ix, cmd)| apply_one(net, cmd).map_err(|v| (ix, v)))
+        .collect()
 }
 
 fn apply_one(net: &mut Network, cmd: Command) -> Result<Output, stem_core::Violation> {

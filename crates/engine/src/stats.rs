@@ -34,7 +34,6 @@ pub(crate) struct Counters {
     pub plan_cache_hits: AtomicU64,
     pub plan_cache_invalidations: AtomicU64,
     pub plan_replays_parallel: AtomicU64,
-    pub plan_replays_wavefront: AtomicU64,
     pub cones_executed: AtomicU64,
     pub cones_stolen: AtomicU64,
     pub parallel_fallbacks: AtomicU64,
@@ -95,7 +94,6 @@ impl Counters {
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
             plan_replays_parallel: self.plan_replays_parallel.load(Ordering::Relaxed),
-            plan_replays_wavefront: self.plan_replays_wavefront.load(Ordering::Relaxed),
             cones_executed: self.cones_executed.load(Ordering::Relaxed),
             cones_stolen: self.cones_stolen.load(Ordering::Relaxed),
             parallel_fallbacks: self.parallel_fallbacks.load(Ordering::Relaxed),
@@ -149,27 +147,22 @@ pub struct EngineStats {
     pub plan_cache_hits: u64,
     /// Cached plans discarded after structural edits, across all sessions.
     pub plan_cache_invalidations: u64,
-    /// Plan replays committed through the parallel cone path, across all
-    /// sessions (0 unless [`crate::EngineConfig::propagation_threads`]
-    /// exceeds 1). Every cache hit on a thread-enabled session lands in
-    /// exactly one of this counter or [`EngineStats::parallel_fallbacks`].
+    /// Plan replays committed through the cone kernels, inline or on the
+    /// worker pool, across all sessions (0 unless
+    /// [`crate::EngineConfig::propagation_threads`] exceeds 1). Every
+    /// cache hit on a thread-enabled session lands in exactly one of this
+    /// counter or [`EngineStats::parallel_fallbacks`].
     pub plan_replays_parallel: u64,
-    /// Committed parallel replays that executed as a levelized wavefront
-    /// (one giant cone pipelined layer-by-layer) rather than independent
-    /// cones — a subset of [`EngineStats::plan_replays_parallel`].
-    pub plan_replays_wavefront: u64,
-    /// Cones executed by committed parallel replays, across all sessions
-    /// (a wavefront replay counts as one cone; a cone-partition replay
-    /// counts ≥ 2).
+    /// Cones executed by committed kernel replays, across all sessions.
     pub cones_executed: u64,
     /// Pool tasks claimed by a worker other than the one they were dealt
     /// to (work stealing), summed over committed parallel replays.
     /// Schedule-dependent — excluded from determinism digests.
     pub cones_stolen: u64,
-    /// Cached replays that ran sequentially despite an enabled worker
-    /// pool: plan below the partition threshold, single connected
-    /// component, kernel-less kind, or a parallel attempt that aborted
-    /// (overwrite denial / violation) into the sequential rerun.
+    /// Cached replays that ran sequentially despite an enabled thread
+    /// budget: a kernel-less kind or non-plain write target in the plan,
+    /// or a kernel attempt that aborted (overwrite denial / violation)
+    /// into the sequential rerun.
     pub parallel_fallbacks: u64,
     /// Sessions reconstructed from the store at [`crate::Engine::open`]
     /// (snapshot image + log-tail replay).
@@ -247,23 +240,19 @@ pub struct SessionStats {
     pub plan_cache_hits: u64,
     /// Cached plans this session discarded after structural edits.
     pub plan_cache_invalidations: u64,
-    /// Plan replays this session committed through the parallel cone
-    /// path. Reconciles with [`SessionStats::plan_cache_hits`]: on a
+    /// Plan replays this session committed through the cone kernels.
+    /// Reconciles with [`SessionStats::plan_cache_hits`]: on a
     /// thread-enabled session every cached replay counts in exactly one
     /// of this counter or [`SessionStats::parallel_fallbacks`].
     pub plan_replays_parallel: u64,
-    /// Committed parallel replays that ran as a levelized wavefront — a
-    /// subset of [`SessionStats::plan_replays_parallel`].
-    pub plan_replays_wavefront: u64,
-    /// Cones executed by this session's committed parallel replays (a
-    /// wavefront replay counts as one).
+    /// Cones executed by this session's committed kernel replays.
     pub cones_executed: u64,
     /// Pool tasks stolen during this session's committed parallel
     /// replays. Schedule-dependent; diagnostic only.
     pub cones_stolen: u64,
-    /// Cached replays that ran sequentially despite the worker pool
-    /// (below-threshold plan, single cone, kernel-less kind, or an
-    /// aborted parallel attempt).
+    /// Cached replays that ran sequentially despite the thread budget
+    /// (kernel-less kind, non-plain write target, or an aborted kernel
+    /// attempt).
     pub parallel_fallbacks: u64,
     /// Domain tightenings this session's propagators landed (cumulative,
     /// mirroring the network's counter).
@@ -306,7 +295,6 @@ impl EngineStats {
             plan_cache_hits,
             plan_cache_invalidations,
             plan_replays_parallel,
-            plan_replays_wavefront,
             cones_executed,
             cones_stolen,
             parallel_fallbacks,
@@ -338,7 +326,6 @@ impl EngineStats {
         self.plan_cache_hits += plan_cache_hits;
         self.plan_cache_invalidations += plan_cache_invalidations;
         self.plan_replays_parallel += plan_replays_parallel;
-        self.plan_replays_wavefront += plan_replays_wavefront;
         self.cones_executed += cones_executed;
         self.cones_stolen += cones_stolen;
         self.parallel_fallbacks += parallel_fallbacks;

@@ -1,9 +1,12 @@
-//! Engine-level behaviour of parallel plan replay: the
-//! `propagation_threads` knob, overlapped disjoint-root `Set` runs
-//! inside one batch, partition invalidation by structural edits landing
-//! between overlapped groups, and the reconciliation of the split
-//! replay counters with the plan-cache counters.
+//! Engine-level behaviour of cone-kernel plan replay: the
+//! `propagation_threads` knob, multi-`Set` batches against a sequential
+//! twin, partition invalidation by structural edits landing mid-batch,
+//! pool dispatch above the per-task floor, and the reconciliation of the
+//! split replay counters with the plan-cache counters.
 
+use std::rc::Rc;
+
+use stem_core::kinds::Functional;
 use stem_core::{Value, VarId};
 use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source};
 use stem_testkit::TempDir;
@@ -30,7 +33,7 @@ fn engine_with_threads(threads: usize) -> Engine {
 
 /// Appends one fanout cluster (root, then `cones` × {head, `fan`
 /// mirrors, sum-out}) to `cmds`, returning the root's variable index.
-/// Clusters are variable-disjoint, so their plans overlap in a batch.
+/// Clusters are variable-disjoint, so each root has its own plan.
 fn push_cluster(cmds: &mut Vec<Command>, next_ix: &mut usize, cones: usize, fan: usize) -> usize {
     let src = *next_ix;
     cmds.push(Command::AddVariable {
@@ -84,8 +87,8 @@ fn dump(engine: &Engine, session: SessionId) -> Vec<(String, Value, stem_core::J
     }
 }
 
-/// Three disjoint partition-sized clusters (8 cones × (1 + 31 + 1) = 264
-/// executing steps each, over the session default 256-step floor), built
+/// Three disjoint 8-cone clusters (1 + 31 + 1 = 33 executing steps per
+/// cone, under the default pool floor, so replays run inline), built
 /// identically on a sequential and a thread-enabled engine.
 fn twin_engines(threads: usize) -> ([Engine; 2], [SessionId; 2], [usize; 3]) {
     let engines = [engine_with_threads(1), engine_with_threads(threads)];
@@ -104,13 +107,13 @@ fn twin_engines(threads: usize) -> ([Engine; 2], [SessionId; 2], [usize; 3]) {
 }
 
 #[test]
-fn overlapped_batch_sets_match_sequential_engine() {
+fn batch_sets_match_sequential_engine() {
     let ([seq, par], [ss, sp], [a, b, c]) = twin_engines(8);
     type BatchFn = fn(usize, usize, usize) -> Vec<Command>;
     let batches: Vec<BatchFn> = vec![
-        |a, b, c| vec![set(a, 5), set(b, 6), set(c, 7)], // cold: individual replays
-        |a, _, c| vec![set(a, 8), set(c, 9)],            // warm: overlapped pair
-        |a, b, _| vec![set(b, 1), set(b, 2), set(a, 3)], // duplicate root splits the run
+        |a, b, c| vec![set(a, 5), set(b, 6), set(c, 7)], // cold: compile, then replay
+        |a, _, c| vec![set(a, 8), set(c, 9)],            // warm: cached replays
+        |a, b, _| vec![set(b, 1), set(b, 2), set(a, 3)], // repeated root: last wins
     ];
     for batch in batches {
         let os = seq.apply(ss, batch(a, b, c)).expect("sequential batch");
@@ -129,30 +132,30 @@ fn overlapped_batch_sets_match_sequential_engine() {
     assert_eq!(stats_seq.plan_cache_hits, stats_par.plan_cache_hits);
     assert_eq!(stats_seq.plan_replays_parallel, 0);
     assert_eq!(stats_seq.parallel_fallbacks, 0);
-    // Batches 2 and 3 each carried one overlapped pair plus the cold and
-    // sequential-remainder replays, so at least two overlapped-group
-    // replays committed in parallel.
+    // Every set after its root's compile replays through the kernels.
     assert!(
-        stats_par.plan_replays_parallel >= 2,
-        "warm disjoint-root sets must overlap: {stats_par:?}"
+        stats_par.plan_replays_parallel >= 5,
+        "warm sets must take the kernel path: {stats_par:?}"
     );
     assert_eq!(stats_par.parallel_fallbacks, 0);
 }
 
 #[test]
 fn session_replay_counters_reconcile_with_cache_hits() {
-    // Cluster sized over the 256-step partition floor: 8 cones × (1 + 31
-    // + 1) = 264 executing steps.
+    // An 8-cone cluster whose plan lowers to kernels.
     let mut cmds = Vec::new();
     let mut ix = 0;
     let big = push_cluster(&mut cmds, &mut ix, 8, 31);
-    // And a two-variable chain that plans but never partitions.
+    // And a two-variable custom functional: it plans, but its closure
+    // has no thread-safe kernel, so the plan never partitions.
     let small = ix;
     cmds.push(Command::AddVariable { name: "s0".into() });
     cmds.push(Command::AddVariable { name: "s1".into() });
     ix += 2;
     cmds.push(Command::AddConstraint {
-        spec: ConstraintSpec::Equality,
+        spec: ConstraintSpec::Custom(Box::new(|| {
+            Rc::new(Functional::custom("copy", |vals| Some(vals[0].clone())))
+        })),
         args: vec![var(small), var(small + 1)],
     });
     let _ = ix;
@@ -177,8 +180,8 @@ fn session_replay_counters_reconcile_with_cache_hits() {
     // one of the two split counters.
     assert_eq!(hits, 12);
     assert_eq!(replays + fallbacks, hits);
-    assert_eq!(replays, 6, "big-cluster sets must take the parallel path");
-    assert_eq!(fallbacks, 6, "small-chain sets must fall back");
+    assert_eq!(replays, 6, "big-cluster sets must take the kernel path");
+    assert_eq!(fallbacks, 6, "kernel-less sets must fall back");
     let cones = stats.cones_executed - base.cones_executed;
     assert_eq!(cones, 6 * 8);
     // The engine-wide rollup carries the same counters — including the
@@ -186,55 +189,49 @@ fn session_replay_counters_reconcile_with_cache_hits() {
     // same committed replays and must therefore agree on exactly.
     let es = engine.stats();
     assert_eq!(es.plan_replays_parallel, stats.plan_replays_parallel);
-    assert_eq!(es.plan_replays_wavefront, stats.plan_replays_wavefront);
     assert_eq!(es.cones_executed, stats.cones_executed);
     assert_eq!(es.cones_stolen, stats.cones_stolen);
     assert_eq!(es.parallel_fallbacks, stats.parallel_fallbacks);
 }
 
 #[test]
-fn wavefront_counters_flow_through_engine_stats() {
-    // One giant single-cone cluster: 1 + 300 + 1 = 302 executing steps
-    // clears both the 256-step partition floor and the 128-step
-    // per-task pool floor, so the session replays it as a pooled
-    // wavefront (PR 7 could only fall back on this shape).
+fn pooled_replay_counters_flow_through_engine_stats() {
+    // Two cones of 1 + 1030 + 1 = 1032 executing steps each clear the
+    // default 1,024-step floor, so the session hands them to the pool.
     let build = |threads: usize| {
         let mut cmds = Vec::new();
         let mut ix = 0;
-        let giant = push_cluster(&mut cmds, &mut ix, 1, 300);
+        let root = push_cluster(&mut cmds, &mut ix, 2, 1030);
         let engine = engine_with_threads(threads);
         let session = engine.create_session();
         engine.apply(session, cmds).expect("setup");
-        (engine, session, giant)
+        (engine, session, root)
     };
-    let (par, sp, giant) = build(4);
+    let (par, sp, root) = build(4);
     let (seq, ss, _) = build(1);
     for round in 0..4i64 {
-        let op = par.apply(sp, vec![set(giant, round + 1)]).expect("par");
-        let os = seq.apply(ss, vec![set(giant, round + 1)]).expect("seq");
+        let op = par.apply(sp, vec![set(root, round + 1)]).expect("par");
+        let os = seq.apply(ss, vec![set(root, round + 1)]).expect("seq");
         assert_eq!(op.outputs, os.outputs);
         assert_eq!(op.assignments, os.assignments);
     }
     assert_eq!(dump(&par, sp), dump(&seq, ss));
     let stats = par.session_stats(sp);
-    assert!(stats.plan_replays_wavefront > 0, "giant cone must wave");
-    assert_eq!(stats.plan_replays_wavefront, stats.plan_replays_parallel);
-    assert_eq!(stats.cones_executed, stats.plan_replays_parallel);
+    assert_eq!(stats.plan_replays_parallel, 4, "every planned set");
+    assert_eq!(stats.cones_executed, 4 * 2);
     assert_eq!(stats.parallel_fallbacks, 0);
     let es = par.stats();
-    assert_eq!(es.plan_replays_wavefront, stats.plan_replays_wavefront);
+    assert_eq!(es.cones_executed, stats.cones_executed);
     assert_eq!(es.cones_stolen, stats.cones_stolen);
-    // The sequential twin kept every parallel counter at zero.
+    // The sequential twin kept every kernel counter at zero.
     let stats_seq = seq.session_stats(ss);
     assert_eq!(stats_seq.plan_replays_parallel, 0);
-    assert_eq!(stats_seq.plan_replays_wavefront, 0);
     assert_eq!(stats_seq.cones_stolen, 0);
 }
 
 #[test]
-fn structural_edit_between_overlapped_groups_invalidates_partitions() {
-    // Two partition-sized clusters; sets on both roots overlap inside a
-    // batch once their plans are warm.
+fn structural_edit_mid_batch_invalidates_partitions() {
+    // Two 8-cone clusters, warmed so both roots hold cached partitions.
     let build = |threads: usize| {
         let mut cmds = Vec::new();
         let mut ix = 0;
@@ -251,11 +248,11 @@ fn structural_edit_between_overlapped_groups_invalidates_partitions() {
     let (par, sp, a, b, next) = build(8);
     let (seq, ss, _, _, _) = build(1);
     let base = par.session_stats(sp);
-    // One batch: an overlapped group, then a structural edit rewiring
-    // cluster A's root into a fresh equality, then more sets. The edit
-    // bumps the structure generation, so the second group must not
-    // replay the stale cone tables (whose write ranges no longer cover
-    // the new constraint's target).
+    // One batch: two sets, then a structural edit rewiring cluster A's
+    // root into a fresh equality, then more sets. The edit bumps the
+    // structure generation, so the later sets must not replay the stale
+    // cone tables (whose write ranges no longer cover the new
+    // constraint's target).
     let batch = || {
         vec![
             set(a, 10),

@@ -849,7 +849,6 @@ fn put_engine_stats(buf: &mut Vec<u8>, s: &EngineStats) {
         s.plan_cache_hits,
         s.plan_cache_invalidations,
         s.plan_replays_parallel,
-        s.plan_replays_wavefront,
         s.cones_executed,
         s.cones_stolen,
         s.parallel_fallbacks,
@@ -889,7 +888,6 @@ fn read_engine_stats(r: &mut Reader<'_>) -> Result<EngineStats, DecodeError> {
         plan_cache_hits: r.u64()?,
         plan_cache_invalidations: r.u64()?,
         plan_replays_parallel: r.u64()?,
-        plan_replays_wavefront: r.u64()?,
         cones_executed: r.u64()?,
         cones_stolen: r.u64()?,
         parallel_fallbacks: r.u64()?,
@@ -928,7 +926,6 @@ fn put_session_stats(buf: &mut Vec<u8>, s: &SessionStats) {
         s.plan_cache_hits,
         s.plan_cache_invalidations,
         s.plan_replays_parallel,
-        s.plan_replays_wavefront,
         s.cones_executed,
         s.cones_stolen,
         s.parallel_fallbacks,
@@ -959,7 +956,6 @@ fn read_session_stats(r: &mut Reader<'_>) -> Result<SessionStats, DecodeError> {
         plan_cache_hits: r.u64()?,
         plan_cache_invalidations: r.u64()?,
         plan_replays_parallel: r.u64()?,
-        plan_replays_wavefront: r.u64()?,
         cones_executed: r.u64()?,
         cones_stolen: r.u64()?,
         parallel_fallbacks: r.u64()?,

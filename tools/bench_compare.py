@@ -39,35 +39,30 @@ BASELINE = os.path.join(ROOT, "BENCH_baseline.json")
 # minimum host CPUs to enforce). Unlike the absolute floors these compare
 # two arms of the *same* run, so machine speed cancels out — but each
 # gate names the core count below which it is warn-skipped rather than
-# enforced: thread-scaling ratios need real cores behind the pool (a
-# 1-core CI container cannot exhibit an 8-thread speedup), while
-# overhead gates like routed-vs-direct hold on any host.
+# enforced. Every gate below holds on a 1-CPU host: none asks for a
+# thread-scaling speedup, which no host this repo is measured on can
+# show.
 RATIO_GATES = [
-    # Parallel cone replay must buy ≥2.5× at wide fanout…
-    ("propagation_planned/dense_fanout/parallel/256",
-     "propagation_planned/dense_fanout/par_seq/256", 2.5, 8),
-    # …and must never cost more than noise at ANY fanout, on any host.
-    # Fan 16 falls back below the 256-step partition floor; fan 64
-    # partitions but each 66-step cone sits below the 128-step per-task
-    # cost floor, so the replay inlines instead of paying pool hand-off
-    # (this gate caught the regression that floor fixed — it ran 0.73×
-    # when every 66-step cone crossed the pool); fan 256 pools for real.
-    # The 1-core thresholds carry heavy slack: on a single-CPU builder
-    # identical-code arms swing ±30% run to run, so these are tripwires
-    # for the order-of-magnitude dispatch regression, and the honest
-    # ≥0.95× claims move to the 8-core tier where noise is observable.
-    ("propagation_planned/dense_fanout/parallel/16",
-     "propagation_planned/dense_fanout/par_seq/16", 0.95, 8),
+    # Cone-kernel replay must never cost more than noise against the
+    # sequential interpreter at ANY fanout, on any host. Every fan's
+    # cones (≤ 258 steps) sit below the 1,024-step pool floor, so the
+    # `parallel` arm runs its kernels inline. The thresholds carry heavy
+    # slack: on a 1–2 CPU builder identical-code arms swing ±30% run to
+    # run, so these are tripwires for an order-of-magnitude dispatch
+    # regression.
     ("propagation_planned/dense_fanout/parallel/16",
      "propagation_planned/dense_fanout/par_seq/16", 0.65, 1),
     ("propagation_planned/dense_fanout/parallel/64",
-     "propagation_planned/dense_fanout/par_seq/64", 0.95, 8),
-    ("propagation_planned/dense_fanout/parallel/64",
      "propagation_planned/dense_fanout/par_seq/64", 0.9, 1),
     ("propagation_planned/dense_fanout/parallel/256",
-     "propagation_planned/dense_fanout/par_seq/256", 0.95, 8),
-    ("propagation_planned/dense_fanout/parallel/256",
      "propagation_planned/dense_fanout/par_seq/256", 0.75, 1),
+    # The pool floor: at the `fanout_replay` shape (four 130-step
+    # cones) inline replay must not lose to the pool. Six smoke runs on
+    # a 2-vCPU host measured inline/pool at 1.01-1.11x; the tolerance is
+    # that 0.10 spread. No gate asks the pool to win (par_floor/*/2048):
+    # whether a second core is free depends on host load.
+    ("propagation_planned/par_floor/inline/128",
+     "propagation_planned/par_floor/pool/128", 0.9, 1),
     # A partition of sub-floor cones must take the inline path: the par
     # arm of the dispatch-overhead micro-bench may not pay pool tax
     # (pooled, this shape measured 0.1-0.3×; inline it sits at ~1.0×).
