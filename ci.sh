@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: formatting, lints, release build, full test suite.
+# Tier-1 CI gate: formatting, lints, docs, release build, full test suite.
 # The workspace is hermetic — everything runs with --offline.
 #
 # Flags:
@@ -46,6 +46,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings, incl. redundant clones)"
 cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant-clone
+
+echo "==> cargo doc (deny warnings: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline

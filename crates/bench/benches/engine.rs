@@ -3,11 +3,12 @@
 
 use stem_bench::harness::{smoke, BenchmarkId, Criterion};
 use stem_bench::{criterion_group, criterion_main};
-use stem_core::{Value, VarId};
+use stem_core::kinds::{Equality, PredOp, Predicate};
+use stem_core::{Justification, Network, Value, VarId};
 use stem_engine::{
-    Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, RollbackStrategy,
-    Source,
+    Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, Source,
 };
+use stem_testkit::TempDir;
 
 fn chain_session(engine: &Engine, len: usize) -> stem_engine::SessionId {
     let s = engine.create_session();
@@ -129,43 +130,73 @@ fn sparse_session(engine: &Engine, n: usize) -> stem_engine::SessionId {
     s
 }
 
-/// Rollback latency of a violating two-variable batch as network size
-/// grows. The journaled path replays two pre-images whatever the size;
-/// the legacy snapshot path copies every variable, so its curve exposes
-/// the O(network) cost the journal removes (§9.2.3 cost model).
-fn rollback_latency(c: &mut Criterion) {
-    let sizes: &[usize] = if smoke() {
+/// Network sizes the rollback-latency groups sweep.
+fn rollback_sizes() -> &'static [usize] {
+    if smoke() {
         &[100, 1_000]
     } else {
         &[100, 1_000, 10_000, 100_000]
-    };
+    }
+}
+
+/// Rollback latency of a violating two-variable batch as network size
+/// grows, through the engine: the journal replays two pre-images
+/// whatever the size, so the curve stays flat (§9.2.3 cost model).
+fn rollback_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/rollback_latency");
-    for &(strategy, label) in &[
-        (RollbackStrategy::Journal, "journal"),
-        (RollbackStrategy::Snapshot, "snapshot"),
-    ] {
-        for &n in sizes {
-            let engine = Engine::with_config(EngineConfig {
-                workers: 1,
-                rollback: strategy,
-                ..EngineConfig::default()
-            });
-            let session = sparse_session(&engine, n);
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    engine
-                        .apply(
-                            session,
-                            vec![Command::Set {
-                                var: VarId::from_index(0),
-                                value: Value::Int(100),
-                                source: Source::Application,
-                            }],
-                        )
-                        .unwrap_err()
-                })
-            });
+    for &n in rollback_sizes() {
+        let engine = Engine::new(1);
+        let session = sparse_session(&engine, n);
+        group.bench_with_input(BenchmarkId::new("journal", n), &n, |b, _| {
+            b.iter(|| {
+                engine
+                    .apply(
+                        session,
+                        vec![Command::Set {
+                            var: VarId::from_index(0),
+                            value: Value::Int(100),
+                            source: Source::Application,
+                        }],
+                    )
+                    .unwrap_err()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The same violating `set` on a core network of `n` variables, without
+/// the engine hop, undone by each of the core's two rollback APIs. The
+/// change journal replays two pre-images; a whole-network snapshot
+/// copies and restores every variable, so its curve exposes the
+/// O(network) cost the journal removes (T-E21).
+fn core_rollback_latency(c: &mut Criterion) {
+    let (v0, v1) = (VarId::from_index(0), VarId::from_index(1));
+    let mut group = c.benchmark_group("engine/rollback_latency_core");
+    for &n in rollback_sizes() {
+        let mut net = Network::new();
+        for i in 0..n {
+            net.add_variable(format!("v{i}"));
         }
+        net.add_constraint(Equality::new(), [v0, v1]).unwrap();
+        net.add_constraint(Predicate::new(PredOp::LeConst(Value::Int(60))), [v1])
+            .unwrap();
+        group.bench_with_input(BenchmarkId::new("journal", n), &n, |b, _| {
+            b.iter(|| {
+                net.begin_journal();
+                let err = net.set(v0, Value::Int(100), Justification::Application);
+                net.rollback_journal();
+                err.unwrap_err()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("snapshot", n), &n, |b, _| {
+            b.iter(|| {
+                let snapshot = net.snapshot();
+                let err = net.set(v0, Value::Int(100), Justification::Application);
+                net.restore_snapshot(&snapshot);
+                err.unwrap_err()
+            })
+        });
     }
     group.finish();
 }
@@ -178,8 +209,7 @@ fn rollback_latency(c: &mut Criterion) {
 /// `commit_sync` measures the price of an on-disk ack and is reported,
 /// not gated against the in-memory baseline.
 fn durability_overhead(c: &mut Criterion) {
-    let base = std::env::temp_dir().join(format!("stem-bench-durability-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = TempDir::new("bench-durability");
     let variants: &[(&str, Option<Durability>)] = &[
         ("volatile", None),
         (
@@ -234,7 +264,6 @@ fn durability_overhead(c: &mut Criterion) {
         engine.shutdown();
     }
     group.finish();
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 criterion_group!(
@@ -242,6 +271,7 @@ criterion_group!(
     batch_round_trip,
     pipelined_throughput,
     rollback_latency,
+    core_rollback_latency,
     durability_overhead
 );
 criterion_main!(benches);

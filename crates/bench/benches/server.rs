@@ -10,6 +10,7 @@ use stem_engine::{
     Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, Source,
 };
 use stem_server::{Client, Cluster, ClusterOptions, Server};
+use stem_testkit::TempDir;
 
 fn set_head(tick: i64) -> Command {
     Command::Set {
@@ -102,8 +103,7 @@ fn routed_pipeline(c: &mut Criterion) {
 /// fetched from the leader server and ingested into a follower server.
 /// One iteration = one commit made queryable on the replica.
 fn replication_lag(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("stem-bench-ship-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("bench-ship");
     let leader_engine = Engine::open_with_config(
         &dir,
         EngineConfig {
@@ -157,7 +157,6 @@ fn replication_lag(c: &mut Criterion) {
     drop(follower);
     drop(leader_srv);
     drop(follower_srv);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(benches, loopback_pipeline, routed_pipeline, replication_lag);

@@ -200,16 +200,14 @@ fn main() {
     print!(
         "{}",
         render_table(
-            "T-E21 — journaled vs. snapshot rollback: 200-var chain, value-only batches",
+            "T-E21 — journaled vs. snapshot rollback: 200-var chain, one core `set` per batch",
             &[
                 "workload",
                 "strategy",
                 "batches",
                 "ms",
                 "batches/s",
-                "speedup",
-                "net snapshots",
-                "net clones"
+                "speedup"
             ],
             &experiments::t_e21_rollback_strategies(),
         )

@@ -714,100 +714,86 @@ pub fn t_e20_engine_throughput(worker_counts: &[usize]) -> Vec<Vec<String>> {
     rows
 }
 
-/// T-E21 — journaled vs. snapshot rollback on a 200-var equality chain
-/// (single session, one worker, value-only batches).
+/// T-E21 — journaled vs. snapshot rollback on a 200-var equality chain,
+/// measured on a core [`stem_core::Network`]: each batch is one `set` on
+/// the chain head, undone on violation by `rollback_journal` (journal arm)
+/// or `restore_snapshot` (snapshot arm).
 ///
 /// Two workloads: *commit flood* (every batch sets the chain head to a
 /// fresh value and propagation floods all 200 variables) isolates the
 /// per-batch checkpoint overhead when the touched set IS the network;
 /// *rollback sparse* (the second variable holds a user-pinned value, so a
-/// conflicting Set on the head is denied after touching one variable —
+/// conflicting set on the head is denied after touching one variable —
 /// the §4.2.4 overwrite rule violating mid-propagation) isolates rollback
-/// cost when the touched set is tiny. The snapshot strategy pays
-/// O(network) for checkpoint and restore either way; the journal pays
-/// O(touched) (§9.2.3 cost model). Speedups are journal relative to
-/// snapshot per workload.
+/// cost when the touched set is tiny. The snapshot arm pays O(network)
+/// for checkpoint and restore either way; the journal pays O(touched)
+/// (§9.2.3 cost model). Speedups are journal relative to snapshot per
+/// workload.
 pub fn t_e21_rollback_strategies() -> Vec<Vec<String>> {
-    use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, RollbackStrategy, Source};
+    use stem_core::kinds::Equality;
+    use stem_core::{Justification, Network, VarId};
 
     const CHAIN: usize = 200;
     const ROUNDS: i64 = 2_000;
 
-    let build = |rollback: RollbackStrategy, pin: bool| {
-        let engine = Engine::with_config(EngineConfig {
-            workers: 1,
-            queue_capacity: 64,
-            step_budget: None,
-            rollback,
-            propagation_threads: 1,
-        });
-        let s = engine.create_session();
-        let mut cmds: Vec<Command> = (0..CHAIN)
-            .map(|i| Command::AddVariable {
-                name: format!("v{i}"),
-            })
+    let build = |pin: bool| {
+        let mut net = Network::new();
+        let vars: Vec<VarId> = (0..CHAIN)
+            .map(|i| net.add_variable(format!("v{i}")))
             .collect();
-        for i in 0..CHAIN - 1 {
-            cmds.push(Command::AddConstraint {
-                spec: ConstraintSpec::Equality,
-                args: vec![
-                    stem_core::VarId::from_index(i),
-                    stem_core::VarId::from_index(i + 1),
-                ],
-            });
+        for pair in vars.windows(2) {
+            net.add_constraint(Equality::new(), [pair[0], pair[1]])
+                .unwrap();
         }
         if pin {
             // User values deny propagation overwrites, so a conflicting
-            // Set on the head violates after touching only the head.
-            cmds.push(Command::Set {
-                var: stem_core::VarId::from_index(1),
-                value: stem_core::Value::Int(50),
-                source: Source::User,
-            });
+            // set on the head violates after touching only the head.
+            net.set(vars[1], Value::Int(50), Justification::User)
+                .unwrap();
         }
-        engine.apply(s, cmds).unwrap();
-        (engine, s)
+        net
     };
 
-    let head = stem_core::VarId::from_index(0);
-    let run = |rollback: RollbackStrategy, violate: bool| {
-        let (engine, s) = build(rollback, violate);
-        let t0 = Instant::now();
-        for round in 0..ROUNDS {
-            let value = if violate {
-                stem_core::Value::Int(100)
+    // One batch: a set on the chain head, kept on success and undone on
+    // violation. Returns whether it committed.
+    let batch = |net: &mut Network, journal: bool, value: Value| {
+        let head = VarId::from_index(0);
+        if journal {
+            net.begin_journal();
+            let ok = net.set(head, value, Justification::Application).is_ok();
+            if ok {
+                net.commit_journal();
             } else {
-                stem_core::Value::Int(round % 50)
-            };
-            let result = engine.apply(
-                s,
-                vec![Command::Set {
-                    var: head,
-                    value,
-                    source: Source::Application,
-                }],
-            );
-            assert_eq!(result.is_err(), violate);
+                net.rollback_journal();
+            }
+            ok
+        } else {
+            let snapshot = net.snapshot();
+            let ok = net.set(head, value, Justification::Application).is_ok();
+            if !ok {
+                net.restore_snapshot(&snapshot);
+            }
+            ok
         }
-        let dt = t0.elapsed();
-        let stats = engine.session_stats(s);
-        (dt, stats)
     };
 
     let mut rows = Vec::new();
     for (workload, violate) in [("commit flood", false), ("rollback sparse", true)] {
         let mut snapshot_bps = 0.0;
-        for (label, rollback) in [
-            ("snapshot", RollbackStrategy::Snapshot),
-            ("journal", RollbackStrategy::Journal),
-        ] {
-            let (dt, stats) = run(rollback, violate);
+        for (label, journal) in [("snapshot", false), ("journal", true)] {
+            let mut net = build(violate);
+            let t0 = Instant::now();
+            for round in 0..ROUNDS {
+                let value = Value::Int(if violate { 100 } else { round % 50 });
+                assert_eq!(batch(&mut net, journal, value), !violate);
+            }
+            let dt = t0.elapsed();
             let bps = ROUNDS as f64 / dt.as_secs_f64();
-            let speedup = if label == "snapshot" {
+            let speedup = if journal {
+                format!("{:.2}×", bps / snapshot_bps)
+            } else {
                 snapshot_bps = bps;
                 "1.00×".to_string()
-            } else {
-                format!("{:.2}×", bps / snapshot_bps)
             };
             rows.push(vec![
                 workload.to_string(),
@@ -816,8 +802,6 @@ pub fn t_e21_rollback_strategies() -> Vec<Vec<String>> {
                 ms(dt),
                 format!("{bps:.0}"),
                 speedup,
-                stats.net_snapshots.to_string(),
-                stats.net_clones.to_string(),
             ]);
         }
     }
@@ -903,8 +887,7 @@ pub fn t_e23_group_commit(session_counts: &[usize]) -> Vec<Vec<String>> {
     const CHAIN: usize = 100;
     const ROUNDS: i64 = 60;
 
-    let base = std::env::temp_dir().join(format!("stem-e23-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = stem_testkit::TempDir::new("e23");
     let mut rows = Vec::new();
     let mut base_bps = None;
     for &n_sessions in session_counts {
@@ -989,7 +972,6 @@ pub fn t_e23_group_commit(session_counts: &[usize]) -> Vec<Vec<String>> {
         ]);
         engine.shutdown();
     }
-    let _ = std::fs::remove_dir_all(&base);
     rows
 }
 

@@ -53,8 +53,8 @@ fn json_escape(s: &str) -> String {
 
 /// Drains every recorded result into `BENCH_<name>.json` (machine-readable
 /// regression tracking; one file per bench binary). Called by
-/// [`criterion_main!`] with the binary's stem, so plain `cargo bench`
-/// produces the artifacts in the working directory.
+/// [`criterion_main!`](crate::criterion_main!) with the binary's stem, so
+/// plain `cargo bench` produces the artifacts in the working directory.
 pub fn export_json(bench_name: &str) {
     let records = std::mem::take(&mut *registry().lock().unwrap());
     if records.is_empty() {

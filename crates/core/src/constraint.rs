@@ -125,8 +125,8 @@ pub trait ConstraintKind: fmt::Debug {
 
     /// A thread-safe kernel equivalent to `infer` on a change of `changed`,
     /// *if one exists* — the opt-in contract behind cone-kernel plan
-    /// replay ([`crate::par`]). Returning `Some(kernel)` promises two
-    /// things:
+    /// replay ([`Network::set_parallel_threads`]). Returning `Some(kernel)`
+    /// promises two things:
     ///
     /// - running the kernel against a raw value view produces exactly the
     ///   `propagate_set` calls `infer` would make (same targets, same

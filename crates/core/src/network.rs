@@ -312,11 +312,6 @@ pub struct Network {
     /// so core propagation statistics stay byte-identical across thread
     /// counts (the differential test's invariant).
     par_stats: ParStats,
-    /// Times `snapshot()` was taken — observability for rollback-path
-    /// audits (the engine's journal path must never take one).
-    snapshots_taken: std::cell::Cell<u64>,
-    /// Times this network (or an ancestor it was cloned from) was cloned.
-    clones_taken: std::cell::Cell<u64>,
     /// Owner-declared durability regime, for inspection only — the
     /// network itself never touches disk. The engine stamps its sessions;
     /// standalone networks keep the volatile default.
@@ -367,7 +362,6 @@ impl Default for Network {
 impl Clone for Network {
     fn clone(&self) -> Self {
         assert!(self.state.is_none(), "cannot clone mid-propagation");
-        self.clones_taken.set(self.clones_taken.get() + 1);
         Network {
             vars: self.vars.clone(),
             slots: self.slots.clone(),
@@ -393,8 +387,6 @@ impl Clone for Network {
             plan_tokens: self.plan_tokens.clone(),
             next_plan_token: self.next_plan_token,
             par_stats: self.par_stats,
-            snapshots_taken: self.snapshots_taken.clone(),
-            clones_taken: self.clones_taken.clone(),
             durability_label: self.durability_label,
             subsumed: self.subsumed.clone(),
             n_subsumed: self.n_subsumed,
@@ -432,8 +424,6 @@ impl Network {
             plan_tokens: Vec::new(),
             next_plan_token: 1,
             par_stats: ParStats::default(),
-            snapshots_taken: std::cell::Cell::new(0),
-            clones_taken: std::cell::Cell::new(0),
             durability_label: "volatile (in-memory only)",
             subsumed: Vec::new(),
             n_subsumed: 0,
@@ -571,10 +561,9 @@ impl Network {
     /// those values — is erased to `Nil`, then the constraint is unwired.
     ///
     /// Journalable: with a journal open, the erasure cascade records value
-    /// pre-images as usual and the unwiring records a
-    /// [`JournalEntry::ConstraintRemoved`] undo entry, so a rollback
-    /// re-wires the constraint in its exact pre-removal position — still
-    /// O(touched set).
+    /// pre-images as usual and the unwiring records a re-insertion undo
+    /// entry, so a rollback re-wires the constraint in its exact
+    /// pre-removal position — still O(touched set).
     ///
     /// # Panics
     ///
@@ -879,18 +868,6 @@ impl Network {
         self.stats
     }
 
-    /// How many times [`Network::snapshot`] has run on this network (or an
-    /// ancestor it was cloned from) — lets rollback-path audits prove the
-    /// O(network) checkpoint was never taken.
-    pub fn snapshots_taken(&self) -> u64 {
-        self.snapshots_taken.get()
-    }
-
-    /// How many times this network (or an ancestor) was cloned.
-    pub fn clones_taken(&self) -> u64 {
-        self.clones_taken.get()
-    }
-
     /// Resets the engine counters (including the parallel-replay
     /// counters of [`Network::par_stats`]).
     pub fn reset_stats(&mut self) {
@@ -898,8 +875,8 @@ impl Network {
         self.par_stats = ParStats::default();
     }
 
-    /// Accumulated cone-kernel replay counters ([`crate::par`]). Always
-    /// zero while [`Network::parallel_threads`] is 1.
+    /// Accumulated cone-kernel replay counters. Always zero while
+    /// [`Network::parallel_threads`] is 1.
     pub fn par_stats(&self) -> ParStats {
         self.par_stats
     }
@@ -1117,7 +1094,6 @@ impl Network {
     /// should prefer the change journal ([`Network::begin_journal`]),
     /// whose cost is O(touched set).
     pub fn snapshot(&self) -> ValueSnapshot {
-        self.snapshots_taken.set(self.snapshots_taken.get() + 1);
         ValueSnapshot {
             entries: self
                 .slots
@@ -1171,7 +1147,7 @@ impl Network {
     /// network, unlike [`Network::snapshot`]/[`Network::restore_snapshot`].
     ///
     /// Constraint removals are journalable too
-    /// ([`JournalEntry::ConstraintRemoved`]). The remaining non-journalable
+    /// ([`Network::remove_constraint`]). The remaining non-journalable
     /// edits ([`Network::detach_arg`], [`Network::attach_arg`]) panic while
     /// a journal is open; callers needing them must fall back to a clone or
     /// snapshot transaction.
@@ -1656,11 +1632,10 @@ impl Network {
     /// Sets the replay thread budget. `1` (the default) keeps every
     /// replay on the sequential interpreter; above 1, plan compilation
     /// also lowers each plan to pure kernels partitioned into
-    /// independent cones ([`crate::par`]), and replay runs them inline
-    /// or on a shared worker pool (see
-    /// [`Network::set_parallel_min_steps`]). Values are clamped to at
-    /// least 1. Changing the budget drops all cached plans so partitions
-    /// are (re)built consistently.
+    /// independent cones, and replay runs them inline or on a shared
+    /// worker pool (see [`Network::set_parallel_min_steps`]). Values are
+    /// clamped to at least 1. Changing the budget drops all cached plans
+    /// so partitions are (re)built consistently.
     ///
     /// # Panics
     ///

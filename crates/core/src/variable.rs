@@ -123,7 +123,8 @@ impl VariableKind for PropertyKind {
 
 /// Recalculation hook installed on lazy property variables: given the
 /// network and the variable, compute and assign a fresh value (typically
-/// via [`Network::set`] with [`Justification::Application`]).
+/// via [`Network::set`] with
+/// [`Justification::Application`](crate::Justification::Application)).
 pub type RecalcFn = dyn Fn(&mut Network, VarId);
 
 /// Internal storage for one variable object (thesis Fig. 4.1: parent, name,

@@ -273,32 +273,6 @@ impl Command {
             Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll
         )
     }
-
-    /// Whether the command edits network *structure* (not just values).
-    /// Structure cannot be rolled back by a value snapshot; under the
-    /// legacy snapshot rollback strategy such batches run on a clone of
-    /// the network that is swapped in on success.
-    pub fn is_structural(&self) -> bool {
-        matches!(
-            self,
-            Command::AddVariable { .. }
-                | Command::AddConstraint { .. }
-                | Command::RemoveConstraint { .. }
-                | Command::EnableConstraint { .. }
-                | Command::SetKindEnabled { .. }
-                | Command::SetValueChangeLimit { .. }
-        )
-    }
-
-    /// Whether the command's effects can be undone by the network's change
-    /// journal (`Network::begin_journal`). Every command journals — value
-    /// writes, structural additions/toggles, and removals alike
-    /// ([`Command::RemoveConstraint`]'s erasure cascade journals its value
-    /// pre-images and the unwiring records a re-insertion entry) — so the
-    /// default rollback strategy is O(touched) for every batch shape.
-    pub fn is_journalable(&self) -> bool {
-        true
-    }
 }
 
 /// Per-command reply inside a successful [`BatchOutcome`].

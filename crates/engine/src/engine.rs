@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use stem_core::{Network, ParStats, Stats, ValueSnapshot};
+use stem_core::{Network, ParStats, Stats};
 use stem_persist::{
     decode_segment, GroupCommit, PersistCommand, PersistSpec, SessionState, Snapshot, Store,
     StoreOptions, SyncPolicy, WalRecord,
@@ -33,23 +33,6 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// How a worker undoes a failed batch ([`EngineConfig::rollback`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RollbackStrategy {
-    /// Change-journal rollback (the default): the network records each
-    /// touched variable's pre-image and journalable structural edits, and
-    /// a failed batch replays the journal in reverse — O(touched set).
-    /// Batches containing a non-journalable command
-    /// ([`Command::is_journalable`]) still fall back to clone-and-swap.
-    #[default]
-    Journal,
-    /// Legacy whole-network checkpointing: value-only batches
-    /// `snapshot()`/`restore_snapshot()`, structural batches run on a
-    /// clone — both O(network size). Kept for differential testing and
-    /// benchmarking against the journal path.
-    Snapshot,
-}
-
 /// Engine construction parameters ([`Engine::with_config`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -66,8 +49,6 @@ pub struct EngineConfig {
     /// cleanly with `ViolationKind::BudgetExceeded` and rolls its batch
     /// back.
     pub step_budget: Option<u64>,
-    /// Batch rollback mechanism; see [`RollbackStrategy`].
-    pub rollback: RollbackStrategy,
     /// Replay thread budget installed in every session network
     /// ([`stem_core::Network::set_parallel_threads`]). At the default of
     /// 1 every propagation is sequential; above 1, cached plans are
@@ -84,7 +65,6 @@ impl Default for EngineConfig {
             workers: thread::available_parallelism().map_or(4, |n| n.get().min(8)),
             queue_capacity: 128,
             step_budget: None,
-            rollback: RollbackStrategy::default(),
             propagation_threads: 1,
         }
     }
@@ -421,7 +401,6 @@ impl Engine {
             let worker_depth = depth.clone();
             let worker_counters = counters.clone();
             let step_budget = config.step_budget;
-            let rollback = config.rollback;
             let propagation_threads = config.propagation_threads;
             let worker_store = store.clone();
             let worker_group = group.clone();
@@ -441,7 +420,6 @@ impl Engine {
                             queue_capacity: queue,
                             counters: worker_counters,
                             step_budget,
-                            rollback,
                             propagation_threads,
                             sessions: HashMap::new(),
                             mode,
@@ -1185,7 +1163,6 @@ struct Worker {
     queue_capacity: usize,
     counters: Arc<Counters>,
     step_budget: Option<u64>,
-    rollback: RollbackStrategy,
     /// Per-network replay thread budget
     /// ([`EngineConfig::propagation_threads`]), stamped on every session
     /// network at creation and recovery.
@@ -1375,22 +1352,9 @@ impl Worker {
                 Job::SessionStats { session, reply } => {
                     let sess = self.session_entry(session);
                     let mut stats = sess.stats;
+                    stats.read_network(&sess.net.stats(), &sess.net.par_stats());
                     stats.n_variables = sess.net.n_variables() as u64;
                     stats.n_constraints = sess.net.n_constraints() as u64;
-                    stats.net_snapshots = sess.net.snapshots_taken();
-                    stats.net_clones = sess.net.clones_taken();
-                    let net_stats = sess.net.stats();
-                    stats.plan_compiles = net_stats.plan_compiles;
-                    stats.plan_cache_hits = net_stats.plan_cache_hits;
-                    stats.plan_cache_invalidations = net_stats.plan_cache_invalidations;
-                    stats.domain_tightenings = net_stats.domain_tightenings;
-                    stats.subsumed_pruned = net_stats.subsumed_pruned;
-                    stats.wipeouts = net_stats.wipeouts;
-                    let par_stats = sess.net.par_stats();
-                    stats.plan_replays_parallel = par_stats.plan_replays_parallel;
-                    stats.cones_executed = par_stats.cones_executed;
-                    stats.cones_stolen = par_stats.cones_stolen;
-                    stats.parallel_fallbacks = par_stats.parallel_fallbacks;
                     stats.quarantined = sess.quarantined;
                     let _ = reply.send(stats);
                 }
@@ -1486,13 +1450,12 @@ impl Worker {
         })
     }
 
-    /// Phase one of a batch: validates it, runs it with its undo state
-    /// still held (an open journal, a clone, or a snapshot) and appends
-    /// its record. What comes back is settled by [`Worker::settle`] —
-    /// immediately, or after a group-commit wait covers the record.
+    /// Phase one of a batch: validates it, runs it under an open change
+    /// journal and appends its record. What comes back is settled by
+    /// [`Worker::settle`] — immediately, or after a group-commit wait
+    /// covers the record.
     fn execute(&mut self, id: SessionId, commands: Vec<Command>, key: u64) -> Executed {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let rollback = self.rollback;
         let logging = self.logging();
         let store = self.store.clone();
         let group = self.group.clone();
@@ -1538,39 +1501,22 @@ impl Worker {
             };
 
         let before = (sess.net.stats(), sess.net.par_stats());
-        let use_journal =
-            rollback == RollbackStrategy::Journal && commands.iter().all(Command::is_journalable);
-        let mut undo = if use_journal {
-            // Journaled transaction: the network records pre-images and
-            // structural undo entries as the batch runs; failure replays
-            // them in reverse. Cost is O(touched set) — no snapshot, no
-            // clone, regardless of network size.
-            sess.net.begin_journal();
-            Undo::Journal
-        } else if commands.iter().any(Command::is_structural) {
-            // Legacy snapshot strategy with structural commands: run the
-            // batch on a clone, swapped in only once it commits.
-            Undo::Clone(Box::new(sess.net.clone()))
-        } else {
-            // Legacy value-only path: whole-network snapshot/restore.
-            Undo::Snapshot(sess.net.snapshot())
-        };
-        let net = match &mut undo {
-            Undo::Clone(work) => work,
-            Undo::Journal | Undo::Snapshot(_) => &mut sess.net,
-        };
-        let outputs = match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands))) {
+        // The network records pre-images and structural undo entries as
+        // the batch runs; every failure replays them in reverse, so undoing
+        // a batch costs O(touched set) whatever the network's size.
+        sess.net.begin_journal();
+        let outputs = match catch_unwind(AssertUnwindSafe(|| apply_all(&mut sess.net, commands))) {
             Ok(Ok(outputs)) => outputs,
             Ok(Err((index, violation))) => {
-                undo.rollback(&mut sess.net);
+                sess.net.rollback_journal();
                 return Executed::Failed(id, BatchError::Violation { index, violation });
             }
             Err(payload) => {
                 // The panic may have unwound out of an active cycle;
                 // finish its restoration (journal-coherently), then undo
                 // the rest of the batch.
-                net.abort_cycle();
-                undo.rollback(&mut sess.net);
+                sess.net.abort_cycle();
+                sess.net.rollback_journal();
                 return Executed::Failed(
                     id,
                     BatchError::Panicked {
@@ -1581,9 +1527,9 @@ impl Worker {
             }
         };
 
-        // Log before acknowledging: the undo state is still held, so a
-        // failed append — or a failed flush, at settle — rolls the whole
-        // batch back and the client's error means "not committed".
+        // Log before acknowledging: the journal is still open, so a failed
+        // append — or a failed flush, at settle — rolls the whole batch
+        // back and the client's error means "not committed".
         let logged = match to_log {
             None => None,
             Some(commands) => {
@@ -1614,7 +1560,7 @@ impl Worker {
                         })
                     }
                     Err(err) => {
-                        undo.rollback(&mut sess.net);
+                        sess.net.rollback_journal();
                         return Executed::Failed(
                             id,
                             BatchError::Persist {
@@ -1629,7 +1575,6 @@ impl Worker {
             session: id,
             key,
             outputs,
-            undo,
             before,
             logged,
         })
@@ -1655,50 +1600,22 @@ impl Worker {
             .get_mut(&id)
             .expect("a batch that ran has a session");
         match result {
-            Ok((outputs, d, key)) => {
+            Ok(p) => {
+                let after = (sess.net.stats(), sess.net.par_stats());
                 counters.batches_ok.fetch_add(1, Ordering::Relaxed);
-                counters.waves.fetch_add(d.waves, Ordering::Relaxed);
-                counters
-                    .assignments
-                    .fetch_add(d.assignments, Ordering::Relaxed);
-                counters
-                    .plan_compiles
-                    .fetch_add(d.plan_compiles, Ordering::Relaxed);
-                counters
-                    .plan_cache_hits
-                    .fetch_add(d.plan_cache_hits, Ordering::Relaxed);
-                counters
-                    .plan_cache_invalidations
-                    .fetch_add(d.plan_cache_invalidations, Ordering::Relaxed);
-                counters
-                    .plan_replays_parallel
-                    .fetch_add(d.plan_replays_parallel, Ordering::Relaxed);
-                counters
-                    .cones_executed
-                    .fetch_add(d.cones_executed, Ordering::Relaxed);
-                counters
-                    .cones_stolen
-                    .fetch_add(d.cones_stolen, Ordering::Relaxed);
-                counters
-                    .parallel_fallbacks
-                    .fetch_add(d.parallel_fallbacks, Ordering::Relaxed);
-                counters
-                    .domain_tightenings
-                    .fetch_add(d.domain_tightenings, Ordering::Relaxed);
-                counters
-                    .subsumed_pruned
-                    .fetch_add(d.subsumed_pruned, Ordering::Relaxed);
-                counters.wipeouts.fetch_add(d.wipeouts, Ordering::Relaxed);
+                counters.add_network(&p.before, &after);
+                let waves = after.0.cycles.saturating_sub(p.before.0.cycles);
+                let assignments = after.0.assignments.saturating_sub(p.before.0.assignments);
                 sess.stats.batches_ok += 1;
-                sess.stats.waves += d.waves;
-                sess.stats.assignments += d.assignments;
-                if key != 0 {
-                    sess.dedup = sess.dedup.max(key);
+                sess.stats.waves += waves;
+                sess.stats.assignments += assignments;
+                if p.key != 0 {
+                    sess.dedup = sess.dedup.max(p.key);
                 }
                 Ok(BatchOutcome {
-                    outputs,
-                    waves: d.waves,
-                    assignments: d.assignments,
+                    outputs: p.outputs,
+                    waves,
+                    assignments,
                 })
             }
             Err(err) => {
@@ -1731,33 +1648,27 @@ impl Worker {
     /// otherwise undoes it so the session is exactly as before the batch.
     fn commit_or_rollback(
         &mut self,
-        p: Pending,
+        mut p: Pending,
         flushed: &io::Result<()>,
-    ) -> Result<(Vec<Output>, BatchDelta, u64), BatchError> {
+    ) -> Result<Pending, BatchError> {
         let sess = self
             .sessions
             .get_mut(&p.session)
             .expect("a session stays open while its batch is pending");
         if let Err(err) = flushed {
-            p.undo.rollback(&mut sess.net);
+            sess.net.rollback_journal();
             return Err(BatchError::Persist {
                 message: err.to_string(),
             });
         }
-        match p.undo {
-            Undo::Journal => sess.net.commit_journal(),
-            Undo::Clone(work) => sess.net = *work,
-            Undo::Snapshot(_) => {}
-        }
-        if let Some(logged) = p.logged {
+        sess.net.commit_journal();
+        if let Some(logged) = p.logged.take() {
             sess.seq += 1;
             sess.stats.wal_appends += 1;
             sess.stats.wal_bytes += logged.bytes;
             persist::absorb_committed(&mut sess.specs, &logged.commands);
         }
-        let (before, before_par) = p.before;
-        let d = delta(before, before_par, sess.net.stats(), sess.net.par_stats());
-        Ok((p.outputs, d, p.key))
+        Ok(p)
     }
 
     /// Serves `first`, a batch, and under group commit every batch ready
@@ -1768,10 +1679,9 @@ impl Worker {
     /// deferred to `backlog`, as is the first non-batch job, which ends the
     /// drain; both are served before the channel is read again, so every
     /// session's batches and every non-batch job keep submission order.
-    /// Without group commit (or under snapshot rollback) the group never
-    /// grows past `first`.
+    /// Without group commit the group never grows past `first`.
     fn run_group(&mut self, first: Job, backlog: &mut VecDeque<Job>) {
-        let drain = self.group.is_some() && self.rollback == RollbackStrategy::Journal;
+        let drain = self.group.is_some();
         let mut pending: Vec<(Pending, Reply, Instant)> = Vec::new();
         let mut deferred = Vec::new();
         let mut ender = None;
@@ -1837,27 +1747,6 @@ impl Worker {
 
 type Reply = mpsc::Sender<Result<BatchOutcome, BatchError>>;
 
-/// How a batch that ran is undone if it must not commit.
-enum Undo {
-    /// The session network's change journal is still open.
-    Journal,
-    /// The batch ran on this clone; the session keeps its pre-batch
-    /// network until the clone is swapped in.
-    Clone(Box<Network>),
-    /// The batch ran in place over this whole-network snapshot.
-    Snapshot(ValueSnapshot),
-}
-
-impl Undo {
-    fn rollback(self, net: &mut Network) {
-        match self {
-            Undo::Journal => net.rollback_journal(),
-            Undo::Clone(_) => {}
-            Undo::Snapshot(snap) => net.restore_snapshot(&snap),
-        }
-    }
-}
-
 /// A batch's appended record.
 struct Logged {
     commands: Vec<PersistCommand>,
@@ -1868,12 +1757,12 @@ struct Logged {
     epoch: u64,
 }
 
-/// A batch that ran to completion and awaits [`Worker::settle`].
+/// A batch that ran to completion, its session's change journal still
+/// open, and awaits [`Worker::settle`].
 struct Pending {
     session: SessionId,
     key: u64,
     outputs: Vec<Output>,
-    undo: Undo,
     /// Network stats before the batch ran.
     before: (Stats, ParStats),
     /// `None` when the batch logs nothing (read-only, or not logging).
@@ -1895,51 +1784,6 @@ enum Executed {
     Failed(SessionId, BatchError),
     /// Ran to completion; commits or rolls back at settle.
     Ran(Pending),
-}
-
-/// Network-stat movement attributable to one committed batch.
-struct BatchDelta {
-    waves: u64,
-    assignments: u64,
-    plan_compiles: u64,
-    plan_cache_hits: u64,
-    plan_cache_invalidations: u64,
-    plan_replays_parallel: u64,
-    cones_executed: u64,
-    cones_stolen: u64,
-    parallel_fallbacks: u64,
-    domain_tightenings: u64,
-    subsumed_pruned: u64,
-    wipeouts: u64,
-}
-
-fn delta(before: Stats, before_par: ParStats, after: Stats, after_par: ParStats) -> BatchDelta {
-    BatchDelta {
-        waves: after.cycles.saturating_sub(before.cycles),
-        assignments: after.assignments.saturating_sub(before.assignments),
-        plan_compiles: after.plan_compiles.saturating_sub(before.plan_compiles),
-        plan_cache_hits: after.plan_cache_hits.saturating_sub(before.plan_cache_hits),
-        plan_cache_invalidations: after
-            .plan_cache_invalidations
-            .saturating_sub(before.plan_cache_invalidations),
-        plan_replays_parallel: after_par
-            .plan_replays_parallel
-            .saturating_sub(before_par.plan_replays_parallel),
-        cones_executed: after_par
-            .cones_executed
-            .saturating_sub(before_par.cones_executed),
-        cones_stolen: after_par
-            .cones_stolen
-            .saturating_sub(before_par.cones_stolen),
-        parallel_fallbacks: after_par
-            .parallel_fallbacks
-            .saturating_sub(before_par.parallel_fallbacks),
-        domain_tightenings: after
-            .domain_tightenings
-            .saturating_sub(before.domain_tightenings),
-        subsumed_pruned: after.subsumed_pruned.saturating_sub(before.subsumed_pruned),
-        wipeouts: after.wipeouts.saturating_sub(before.wipeouts),
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -18,9 +18,10 @@
 //!   all commands commit, or — on a constraint [`Violation`], an invalid
 //!   command, a step-budget overrun or a panic — the session is restored
 //!   exactly as it was and a structured [`BatchError`] comes back.
-//!   Value-only batches roll back via [`stem_core::Network::snapshot`];
-//!   batches that edit structure run on a clone that is swapped in only on
-//!   success.
+//!   Every batch runs under the network's change journal
+//!   ([`stem_core::Network::begin_journal`]): a failed batch replays the
+//!   journal in reverse, so undoing it costs O(touched), whatever the
+//!   network's size or the batch's commands.
 //! - **Backpressure & budgets.** Worker queues are bounded:
 //!   [`Engine::submit`] blocks when full, [`Engine::try_submit`] returns
 //!   [`BatchError::Backpressure`]. An optional per-cycle step budget
@@ -41,7 +42,7 @@
 //!   ([`Engine::stats`] → [`EngineStats`]: batches, waves, assignments,
 //!   violations, rollbacks, queue-depth high-water mark, coarse latency
 //!   histogram) plus per-session counters ([`Engine::session_stats`] →
-//!   [`SessionStats`]).
+//!   [`SessionStats`]), each declared once in a counter table.
 //!
 //! [`Violation`]: stem_core::Violation
 
@@ -53,6 +54,6 @@ mod persist;
 mod stats;
 
 pub use command::{BatchError, BatchOutcome, Command, ConstraintSpec, KindFactory, Output, Source};
-pub use engine::{BatchTicket, Engine, EngineConfig, ReplayReport, RollbackStrategy, SessionId};
+pub use engine::{BatchTicket, Engine, EngineConfig, ReplayReport, SessionId};
 pub use persist::{Durability, DurabilityOptions};
 pub use stats::{EngineStats, SessionStats, LATENCY_BUCKET_BOUNDS_US, N_LATENCY_BUCKETS};

@@ -1,39 +1,39 @@
-//! Differential check of the two rollback strategies: a journal-strategy
-//! engine and a snapshot-strategy engine fed identical SplitMix64-derived
-//! batch workloads must produce identical per-batch outcomes and
-//! byte-identical `DumpValues` dumps after every batch — including batches
-//! that violate mid-propagation and roll back.
+//! Journal rollback against an oracle that never rolls back. An engine
+//! runs SplitMix64-derived batch workloads on one session, and a healthy
+//! share of the batches violate mid-propagation and roll back through the
+//! change journal. The oracle's answers never depend on a rollback: a
+//! batch's expected outcome comes from a fresh engine that replays every
+//! committed batch and then this one, and the expected state after the
+//! batch from a twin engine that has only ever applied committed batches.
+//! Outcomes and `DumpValues` dumps must match after every batch.
+
+use std::rc::Rc;
 
 use stem_core::prng::SplitMix64;
-use stem_core::{Value, VarId};
+use stem_core::{ConstraintId, ConstraintKind, Network, Value, VarId, Violation};
 use stem_engine::{
-    BatchError, BatchOutcome, Command, ConstraintSpec, Engine, EngineConfig, RollbackStrategy,
-    SessionId,
+    BatchError, BatchOutcome, Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId,
+    Source,
 };
 
-fn engine(rollback: RollbackStrategy) -> Engine {
+/// Variables in the chain every session starts from; it also carries one
+/// constraint per variable (the equalities plus the tripwire).
+const CHAIN: usize = 10;
+
+fn engine() -> Engine {
     Engine::with_config(EngineConfig {
         workers: 1,
-        rollback,
         ..EngineConfig::default()
     })
 }
 
-/// One deterministic batch drawn from the rng. `n_vars` is the session's
-/// variable count before the batch; `structural` additionally mixes in
-/// journalable structure edits; `removals` allows `RemoveConstraint`
-/// (journalable too: erasure pre-images plus a re-wiring undo entry).
-fn gen_batch(
-    rng: &mut SplitMix64,
-    n_vars: usize,
-    n_constraints: usize,
-    structural: bool,
-    removals: bool,
-) -> Vec<Command> {
+/// One deterministic batch drawn from the rng. `structural` additionally
+/// mixes in structure edits; `removals` allows `RemoveConstraint`.
+fn gen_batch(rng: &mut SplitMix64, structural: bool, removals: bool) -> Vec<Command> {
     let mut batch = Vec::new();
     let len = rng.range_usize(1, 5);
     for _ in 0..len {
-        let var = VarId::from_index(rng.range_usize(0, n_vars));
+        let var = VarId::from_index(rng.range_usize(0, CHAIN));
         match rng.range_usize(0, 10) {
             // Values above ~60 trip the LeConst bound installed on the
             // chain, so a healthy fraction of batches violate and roll
@@ -41,7 +41,7 @@ fn gen_batch(
             0..=4 => batch.push(Command::Set {
                 var,
                 value: Value::Int(rng.range_i64(0, 90)),
-                source: stem_engine::Source::Application,
+                source: Source::Application,
             }),
             5 => batch.push(Command::Get { var }),
             6 => batch.push(Command::Probe {
@@ -51,17 +51,33 @@ fn gen_batch(
             7 if structural => batch.push(Command::AddVariable {
                 name: format!("x{}", rng.next_u64() % 1000),
             }),
-            8 if structural && n_constraints > 0 => batch.push(Command::EnableConstraint {
-                constraint: stem_core::ConstraintId::from_index(rng.range_usize(0, n_constraints)),
+            8 if structural => batch.push(Command::EnableConstraint {
+                constraint: ConstraintId::from_index(rng.range_usize(0, CHAIN)),
                 enabled: rng.next_bool(),
             }),
-            9 if removals && n_constraints > 1 => batch.push(Command::RemoveConstraint {
-                constraint: stem_core::ConstraintId::from_index(rng.range_usize(0, n_constraints)),
+            9 if removals => batch.push(Command::RemoveConstraint {
+                constraint: ConstraintId::from_index(rng.range_usize(0, CHAIN)),
             }),
             _ => batch.push(Command::Get { var }),
         }
     }
     batch
+}
+
+/// A drawn batch, kept as the generator state that drew it: `Command` is
+/// not `Clone`, so every replay regenerates the batch from a copy.
+#[derive(Clone, Copy)]
+struct Draw {
+    rng: SplitMix64,
+    structural: bool,
+    removals: bool,
+}
+
+impl Draw {
+    fn commands(self) -> Vec<Command> {
+        let mut rng = self.rng;
+        gen_batch(&mut rng, self.structural, self.removals)
+    }
 }
 
 /// Renders a batch result to a canonical comparison string.
@@ -81,13 +97,14 @@ fn dump(engine: &Engine, session: SessionId) -> String {
     format!("{:?}", out.outputs)
 }
 
-fn build_chain(engine: &Engine, session: SessionId, n: usize) -> usize {
-    let mut batch: Vec<Command> = (0..n)
+/// An equality chain over `CHAIN` variables with a tripwire in the middle.
+fn build_chain(engine: &Engine, session: SessionId) {
+    let mut batch: Vec<Command> = (0..CHAIN)
         .map(|i| Command::AddVariable {
             name: format!("v{i}"),
         })
         .collect();
-    for i in 0..n - 1 {
+    for i in 0..CHAIN - 1 {
         batch.push(Command::AddConstraint {
             spec: ConstraintSpec::Equality,
             args: vec![VarId::from_index(i), VarId::from_index(i + 1)],
@@ -96,167 +113,176 @@ fn build_chain(engine: &Engine, session: SessionId, n: usize) -> usize {
     // The tripwire: mid-chain values above 60 violate during propagation.
     batch.push(Command::AddConstraint {
         spec: ConstraintSpec::LeConst(Value::Int(60)),
-        args: vec![VarId::from_index(n / 2)],
+        args: vec![VarId::from_index(CHAIN / 2)],
     });
     engine.apply(session, batch).expect("chain builds clean");
-    n // constraints: n-1 equalities + 1 predicate = n
 }
 
-#[test]
-fn journal_and_snapshot_rollback_agree_on_random_workloads() {
-    let journal_eng = engine(RollbackStrategy::Journal);
-    let snapshot_eng = engine(RollbackStrategy::Snapshot);
-    let js = journal_eng.create_session();
-    let ss = snapshot_eng.create_session();
+/// A chain session on a new one-worker engine.
+fn chain_engine() -> (Engine, SessionId) {
+    let engine = engine();
+    let session = engine.create_session();
+    build_chain(&engine, session);
+    (engine, session)
+}
 
-    let n_vars = 10;
-    let n_constraints = build_chain(&journal_eng, js, n_vars);
-    build_chain(&snapshot_eng, ss, n_vars);
+/// The rollback-free oracle: the batches that committed, in order, and a
+/// twin that has applied exactly those.
+struct Oracle {
+    committed: Vec<Draw>,
+    twin: (Engine, SessionId),
+}
 
-    // Phase 1: value-only workloads — the journal engine must serve every
-    // batch without a single network snapshot or clone.
-    let mut rng_j = SplitMix64::new(0xD1FF);
-    let mut rng_s = SplitMix64::new(0xD1FF);
-    let mut violations = 0usize;
-    for round in 0..120 {
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, false, false);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, false, false);
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        if rj.is_err() {
-            violations += 1;
-        }
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "state diverged after round {round}"
-        );
-    }
-    assert!(
-        violations > 0,
-        "workload never violated — tripwire too loose"
-    );
-
-    let jstats = journal_eng.session_stats(js);
-    assert_eq!(
-        jstats.net_snapshots, 0,
-        "journal strategy must never snapshot on value-only batches"
-    );
-    assert_eq!(
-        jstats.net_clones, 0,
-        "journal strategy must never clone on value-only batches"
-    );
-    let sstats = snapshot_eng.session_stats(ss);
-    assert!(
-        sstats.net_snapshots > 0,
-        "snapshot strategy should have taken snapshots"
-    );
-
-    // Phase 2: journalable structural edits ride the journal too.
-    for round in 0..40 {
-        // Variable count only grows; both sides grow identically, so track
-        // via the journal engine's dump (cheaper: count AddVariable).
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, true, false);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, true, false);
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "structural outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "structural state diverged after round {round}"
-        );
-    }
-    let jstats = journal_eng.session_stats(js);
-    assert_eq!(
-        jstats.net_snapshots, 0,
-        "journalable structural batches must not snapshot"
-    );
-    assert_eq!(
-        jstats.net_clones, 0,
-        "journalable structural batches must not clone"
-    );
-
-    // Phase 3: RemoveConstraint journals too (erasure pre-images plus a
-    // re-wiring undo entry), so even removal batches stay on the
-    // O(touched) journal path — and the two engines still agree.
-    let mut removal_batches = 0usize;
-    for round in 0..30 {
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, true, true);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, true, true);
-        if bj
+impl Oracle {
+    /// `draw`'s outcome on a fresh engine after every committed batch —
+    /// each of which commits there too, so nothing before `draw` rolls
+    /// back.
+    fn outcome(&self, draw: Draw) -> String {
+        let (fresh, session) = chain_engine();
+        let replays: Vec<_> = self
+            .committed
             .iter()
-            .any(|c| matches!(c, Command::RemoveConstraint { .. }))
-        {
-            removal_batches += 1;
+            .map(|d| fresh.submit(session, d.commands()))
+            .collect();
+        for ticket in replays {
+            ticket.wait().expect("a committed batch commits on replay");
         }
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "removal outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "removal state diverged after round {round}"
-        );
+        render(&fresh.apply(session, draw.commands()))
     }
-    assert!(removal_batches > 0, "workload never removed a constraint");
-    let jstats = journal_eng.session_stats(js);
-    assert_eq!(jstats.net_snapshots, 0, "still no snapshots under journal");
-    assert_eq!(
-        jstats.net_clones, 0,
-        "removal batches must journal, not clone-and-swap"
-    );
 
-    journal_eng.shutdown();
-    snapshot_eng.shutdown();
+    fn commit(&mut self, draw: Draw) {
+        let (twin, session) = &self.twin;
+        twin.apply(*session, draw.commands())
+            .expect("a committed batch commits on the twin");
+        self.committed.push(draw);
+    }
 }
 
 #[test]
-fn journal_rollback_survives_panicking_commands() {
-    // A panic mid-batch unwinds through catch_unwind; the journal engine
-    // must abort the open cycle, replay the journal, and leave the session
-    // exactly as the snapshot engine does.
-    let journal_eng = engine(RollbackStrategy::Journal);
-    let snapshot_eng = engine(RollbackStrategy::Snapshot);
-    let js = journal_eng.create_session();
-    let ss = snapshot_eng.create_session();
-    build_chain(&journal_eng, js, 4);
-    build_chain(&snapshot_eng, ss, 4);
-
-    let panic_batch = |target: u32| {
-        vec![
-            Command::Set {
-                var: VarId::from_index(0),
-                value: Value::Int(7),
-                source: stem_engine::Source::User,
-            },
-            // Invalid id: indexes far past the arena — the worker rejects
-            // or panics depending on path; both engines must agree.
-            Command::Set {
-                var: VarId::from_index(target as usize),
-                value: Value::Int(1),
-                source: stem_engine::Source::User,
-            },
-        ]
+fn journal_rollback_matches_a_rollback_free_oracle() {
+    let (subject, s) = chain_engine();
+    let mut oracle = Oracle {
+        committed: Vec::new(),
+        twin: chain_engine(),
     };
-    let rj = journal_eng.apply(js, panic_batch(9999));
-    let rs = snapshot_eng.apply(ss, panic_batch(9999));
-    assert_eq!(render(&rj), render(&rs));
-    assert_eq!(dump(&journal_eng, js), dump(&snapshot_eng, ss));
+    let mut rng = SplitMix64::new(0xD1FF);
+    let phases = [
+        ("value-only", 120, false, false),
+        ("structural", 40, true, false),
+        ("removal", 30, true, true),
+    ];
+    for (phase, rounds, structural, removals) in phases {
+        let mut rolled_back = 0usize;
+        let mut removed = 0usize;
+        for round in 0..rounds {
+            let draw = Draw {
+                rng,
+                structural,
+                removals,
+            };
+            let commands = gen_batch(&mut rng, structural, removals);
+            let removes = commands
+                .iter()
+                .any(|c| matches!(c, Command::RemoveConstraint { .. }));
+            let result = subject.apply(s, commands);
+            assert_eq!(
+                render(&result),
+                oracle.outcome(draw),
+                "{phase} outcome diverged at round {round}"
+            );
+            if result.is_ok() {
+                oracle.commit(draw);
+                removed += usize::from(removes);
+            } else {
+                rolled_back += 1;
+            }
+            let (twin, twin_session) = &oracle.twin;
+            assert_eq!(
+                dump(&subject, s),
+                dump(twin, *twin_session),
+                "{phase} state diverged after round {round}"
+            );
+        }
+        assert!(
+            rolled_back > 0,
+            "{phase}: no batch rolled back — tripwire too loose"
+        );
+        if removals {
+            assert!(removed > 0, "{phase}: no removal batch committed");
+        }
+    }
+}
 
-    journal_eng.shutdown();
-    snapshot_eng.shutdown();
+/// Panics once a non-nil value reaches it. Installing it is safe: the
+/// install pass dispatches its argument while the value is still `Nil`.
+#[derive(Debug)]
+struct PanicOnInfer;
+
+impl ConstraintKind for PanicOnInfer {
+    fn kind_name(&self) -> &str {
+        "panicOnInfer"
+    }
+
+    fn infer(
+        &self,
+        net: &mut Network,
+        _cid: ConstraintId,
+        changed: Option<VarId>,
+    ) -> Result<(), Violation> {
+        if changed.is_some_and(|v| !net.value(v).is_nil()) {
+            panic!("deliberate test panic");
+        }
+        Ok(())
+    }
+
+    fn is_satisfied(&self, _net: &Network, _cid: ConstraintId) -> bool {
+        true
+    }
+}
+
+#[test]
+fn journal_rollback_undoes_propagation_before_a_panic() {
+    let (engine, s) = chain_engine();
+    let trigger = VarId::from_index(CHAIN);
+    engine
+        .apply(
+            s,
+            vec![
+                Command::AddVariable {
+                    name: "trigger".into(),
+                },
+                Command::AddConstraint {
+                    spec: ConstraintSpec::Custom(Box::new(|| Rc::new(PanicOnInfer))),
+                    args: vec![trigger],
+                },
+            ],
+        )
+        .unwrap();
+    let before = dump(&engine, s);
+    let set = |var: VarId, v: i64| Command::Set {
+        var,
+        value: Value::Int(v),
+        source: Source::User,
+    };
+    let head = VarId::from_index(0);
+
+    // The first command floods the chain; the second panics mid-cycle.
+    let err = engine
+        .apply(s, vec![set(head, 7), set(trigger, 1)])
+        .unwrap_err();
+    assert!(matches!(err, BatchError::Panicked { .. }), "{err:?}");
+    assert_eq!(
+        dump(&engine, s),
+        before,
+        "a panicked batch must leave no trace"
+    );
+
+    // Alone, the first command reaches the chain's end: the rollback
+    // above undid real propagation, not a no-op.
+    assert!(engine.lift_quarantine(s));
+    let tail = VarId::from_index(CHAIN - 1);
+    let out = engine
+        .apply(s, vec![set(head, 7), Command::Get { var: tail }])
+        .unwrap();
+    assert_eq!(out.outputs[1], Output::Value(Value::Int(7)));
 }

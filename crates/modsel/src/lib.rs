@@ -148,7 +148,7 @@ pub struct JointOutcome {
 
 /// Joint module selection over several generic instances sharing budgets —
 /// the step beyond thesis ch. 8's one-instance-at-a-time selection, in the
-/// direction of its §9.3 call for "constraint satisfaction [that] attempts
+/// direction of its §9.3 call for "constraint satisfaction \[that\] attempts
 /// to solve a constraint network by global considerations".
 ///
 /// Backtracking search over the candidate realisations of each instance:

@@ -21,9 +21,7 @@ use stem_core::codec::{
     put_bytes, put_justification, put_str, put_u32, put_u64, put_u8, put_value, put_var,
     put_violation, DecodeError, Reader,
 };
-use stem_engine::{
-    BatchError, BatchOutcome, Command, EngineStats, Output, SessionStats, N_LATENCY_BUCKETS,
-};
+use stem_engine::{BatchError, BatchOutcome, Command, EngineStats, Output, SessionStats};
 use stem_persist::crc::crc32;
 use stem_persist::{PersistCommand, PersistSpec};
 
@@ -833,38 +831,8 @@ fn read_batch_error(r: &mut Reader<'_>) -> Result<BatchError, DecodeError> {
 }
 
 fn put_engine_stats(buf: &mut Vec<u8>, s: &EngineStats) {
-    for field in [
-        s.batches,
-        s.batches_ok,
-        s.violations,
-        s.rollbacks,
-        s.panics,
-        s.waves,
-        s.assignments,
-        s.sessions_created,
-        s.sessions_quarantined,
-        s.backpressure_rejections,
-        s.queue_depth_hwm,
-        s.plan_compiles,
-        s.plan_cache_hits,
-        s.plan_cache_invalidations,
-        s.plan_replays_parallel,
-        s.cones_executed,
-        s.cones_stolen,
-        s.parallel_fallbacks,
-        s.recoveries,
-        s.segments_ingested,
-        s.records_replayed,
-        s.dedup_skips,
-        s.domain_tightenings,
-        s.subsumed_pruned,
-        s.wipeouts,
-        s.wal_appends,
-        s.wal_bytes,
-        s.wal_group_syncs,
-        s.snapshots_written,
-    ] {
-        put_u64(buf, field);
+    for counter in s.counters() {
+        put_u64(buf, counter);
     }
     for bucket in s.latency_buckets {
         put_u64(buf, bucket);
@@ -872,38 +840,10 @@ fn put_engine_stats(buf: &mut Vec<u8>, s: &EngineStats) {
 }
 
 fn read_engine_stats(r: &mut Reader<'_>) -> Result<EngineStats, DecodeError> {
-    let mut s = EngineStats {
-        batches: r.u64()?,
-        batches_ok: r.u64()?,
-        violations: r.u64()?,
-        rollbacks: r.u64()?,
-        panics: r.u64()?,
-        waves: r.u64()?,
-        assignments: r.u64()?,
-        sessions_created: r.u64()?,
-        sessions_quarantined: r.u64()?,
-        backpressure_rejections: r.u64()?,
-        queue_depth_hwm: r.u64()?,
-        plan_compiles: r.u64()?,
-        plan_cache_hits: r.u64()?,
-        plan_cache_invalidations: r.u64()?,
-        plan_replays_parallel: r.u64()?,
-        cones_executed: r.u64()?,
-        cones_stolen: r.u64()?,
-        parallel_fallbacks: r.u64()?,
-        recoveries: r.u64()?,
-        segments_ingested: r.u64()?,
-        records_replayed: r.u64()?,
-        dedup_skips: r.u64()?,
-        domain_tightenings: r.u64()?,
-        subsumed_pruned: r.u64()?,
-        wipeouts: r.u64()?,
-        wal_appends: r.u64()?,
-        wal_bytes: r.u64()?,
-        wal_group_syncs: r.u64()?,
-        snapshots_written: r.u64()?,
-        latency_buckets: [0; N_LATENCY_BUCKETS],
-    };
+    let mut s = EngineStats::default();
+    for counter in s.counters_mut() {
+        *counter = r.u64()?;
+    }
     for bucket in &mut s.latency_buckets {
         *bucket = r.u64()?;
     }
@@ -911,59 +851,17 @@ fn read_engine_stats(r: &mut Reader<'_>) -> Result<EngineStats, DecodeError> {
 }
 
 fn put_session_stats(buf: &mut Vec<u8>, s: &SessionStats) {
-    for field in [
-        s.batches,
-        s.batches_ok,
-        s.violations,
-        s.panics,
-        s.waves,
-        s.assignments,
-        s.n_variables,
-        s.n_constraints,
-        s.net_snapshots,
-        s.net_clones,
-        s.plan_compiles,
-        s.plan_cache_hits,
-        s.plan_cache_invalidations,
-        s.plan_replays_parallel,
-        s.cones_executed,
-        s.cones_stolen,
-        s.parallel_fallbacks,
-        s.domain_tightenings,
-        s.subsumed_pruned,
-        s.wipeouts,
-        s.wal_appends,
-        s.wal_bytes,
-    ] {
-        put_u64(buf, field);
+    for counter in s.counters() {
+        put_u64(buf, counter);
     }
     put_u8(buf, u8::from(s.quarantined));
 }
 
 fn read_session_stats(r: &mut Reader<'_>) -> Result<SessionStats, DecodeError> {
-    Ok(SessionStats {
-        batches: r.u64()?,
-        batches_ok: r.u64()?,
-        violations: r.u64()?,
-        panics: r.u64()?,
-        waves: r.u64()?,
-        assignments: r.u64()?,
-        n_variables: r.u64()?,
-        n_constraints: r.u64()?,
-        net_snapshots: r.u64()?,
-        net_clones: r.u64()?,
-        plan_compiles: r.u64()?,
-        plan_cache_hits: r.u64()?,
-        plan_cache_invalidations: r.u64()?,
-        plan_replays_parallel: r.u64()?,
-        cones_executed: r.u64()?,
-        cones_stolen: r.u64()?,
-        parallel_fallbacks: r.u64()?,
-        domain_tightenings: r.u64()?,
-        subsumed_pruned: r.u64()?,
-        wipeouts: r.u64()?,
-        wal_appends: r.u64()?,
-        wal_bytes: r.u64()?,
-        quarantined: r.bool()?,
-    })
+    let mut s = SessionStats::default();
+    for counter in s.counters_mut() {
+        *counter = r.u64()?;
+    }
+    s.quarantined = r.bool()?;
+    Ok(s)
 }

@@ -186,22 +186,23 @@ fn sample_requests() -> Vec<Request> {
 }
 
 fn sample_replies() -> Vec<Reply> {
-    let mut stats = EngineStats {
-        batches: 10,
-        batches_ok: 9,
-        wal_appends: 8,
-        wal_bytes: 4096,
-        wal_group_syncs: 3,
-        segments_ingested: 2,
-        records_replayed: 77,
-        dedup_skips: 6,
-        domain_tightenings: 31,
-        subsumed_pruned: 12,
-        wipeouts: 2,
-        ..EngineStats::default()
+    // Every counter distinct and nonzero, set through the table, so a
+    // dropped or transposed counter — including one added later — fails
+    // the round trip.
+    let mut stats = EngineStats::default();
+    for (n, counter) in (1..).zip(stats.counters_mut()) {
+        *counter = n;
+    }
+    for (n, bucket) in (100..).zip(&mut stats.latency_buckets) {
+        *bucket = n;
+    }
+    let mut session = SessionStats {
+        quarantined: true,
+        ..SessionStats::default()
     };
-    stats.latency_buckets[0] = 5;
-    *stats.latency_buckets.last_mut().unwrap() = 1;
+    for (n, counter) in (200..).zip(session.counters_mut()) {
+        *counter = n;
+    }
     vec![
         Reply::Pong,
         Reply::Session { id: 12 },
@@ -251,16 +252,7 @@ fn sample_replies() -> Vec<Reply> {
         Reply::Batch(Err(BatchError::Shutdown)),
         Reply::Batch(Err(BatchError::ReadOnlyReplica)),
         Reply::Stats(stats),
-        Reply::SessionStats(SessionStats {
-            batches: 5,
-            wal_appends: 4,
-            wal_bytes: 512,
-            quarantined: true,
-            domain_tightenings: 17,
-            subsumed_pruned: 3,
-            wipeouts: 1,
-            ..SessionStats::default()
-        }),
+        Reply::SessionStats(session),
         // Domain values inside a dump reply (the inspector path).
         Reply::Batch(Ok(BatchOutcome {
             outputs: vec![

@@ -1,6 +1,7 @@
 //! # stem-testkit — helpers shared by the workspace's tests and benches
 //!
-//! A dev-only crate: nothing in a library or binary target depends on it.
+//! Only test, bench and measurement code depends on it: the test suites,
+//! and `stem-bench`, whose experiments generator needs scratch stores too.
 
 #![warn(missing_docs)]
 
