@@ -61,12 +61,19 @@ echo "==> recovery fault-injection matrix (crash at every WAL byte offset)"
 # crash point and the randomized differential replays ~25 seeded
 # workloads, each also pipelined into group-commit workers. The
 # group_commit suite pins worker-side groups: fsyncs shared across a
-# worker's queue, and a failed flush rolling back every batch it covered.
-# Also re-runs the persist store/fault suites at -O to catch release-only
-# ordering bugs in the recovery path.
+# worker's queue (a session's pipelined batches stacked into one flush),
+# a failed flush rolling back every batch it covered, and a transient
+# fsync failure never shadowing a later ack (commit-sync and group
+# commit). The differential suite's stacked leg checks pipelined group
+# commit against the rollback-free oracle, and the core savepoint suite
+# the journal savepoints stacking runs on. Also re-runs the persist
+# store/fault suites at -O to catch release-only ordering bugs in the
+# recovery path.
 cargo test --release --offline -p stem-engine --test crash_matrix -q
 cargo test --release --offline -p stem-engine --test group_commit -q
+cargo test --release --offline -p stem-engine --test differential -q
 cargo test --release --offline -p stem-engine --test persist -q
+cargo test --release --offline -p stem-core --test savepoint -q
 cargo test --release --offline -p stem-persist -q
 # Kill-leader/promote-follower leg: byte-identical leader/follower state
 # across 25 seeded workloads (in-process shipping), then the same fleet

@@ -82,7 +82,7 @@ pub use domain::{Dom, DomainPropagator, FinSet, Interval, PropagateOutcome, View
 pub use ids::{ConstraintId, Entity, VarId};
 pub use inspect::NetworkInspector;
 pub use justification::{DependencyRecord, Justification};
-pub use network::{Network, SetStatus, Stats, ValueSnapshot, ViolationHandler};
+pub use network::{JournalMark, Network, SetStatus, Stats, ValueSnapshot, ViolationHandler};
 pub use par::{ParKernel, ParStats, PureOp};
 pub use plan::{PlanParDetail, PlanStatus};
 pub use value::{Span, TypeTag, Value};

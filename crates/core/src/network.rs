@@ -182,27 +182,51 @@ enum JournalEntry {
     SubsumedChanged { cid: ConstraintId, was: bool },
 }
 
-/// The change journal: variable pre-images (first write wins) plus
-/// structural add/toggle records, accumulated between
+/// The change journal: variable pre-images (first write per segment wins)
+/// plus structural add/toggle records, accumulated between
 /// [`Network::begin_journal`] and commit/rollback. Undoing a batch replays
 /// the journal in reverse — O(touched set), not O(network) like
-/// [`Network::snapshot`].
+/// [`Network::snapshot`]. [`Network::journal_savepoint`] opens a nested
+/// segment that [`Network::rollback_journal_to`] undoes alone.
 #[derive(Debug, Default)]
 struct Journal {
     entries: Vec<JournalEntry>,
-    /// Flag per variable index: pre-image already recorded. A flat vector
-    /// beats a hash set on the write path (one indexed load per write);
-    /// clearing walks the entries, so it stays O(touched), and the buffer
-    /// itself is pooled across transactions via `spare_journal`.
-    seen: Vec<bool>,
+    /// Per variable index: the segment whose pre-image is recorded (0 =
+    /// none). A flat vector beats a hash set on the write path (one
+    /// indexed load per write); clearing walks the entries, so it stays
+    /// O(touched), and the buffer itself is pooled across transactions via
+    /// `spare_journal`.
+    seen: Vec<u32>,
+    /// Current segment: 1 when the journal opens, bumped by each savepoint,
+    /// so a variable's first write after a savepoint records its pre-image
+    /// again without touching earlier flags.
+    segment: u32,
+}
+
+/// A position in the open change journal ([`Network::journal_savepoint`]):
+/// [`Network::rollback_journal_to`] undoes everything journaled after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalMark {
+    len: usize,
+    segment: u32,
 }
 
 impl Journal {
+    /// Whether `ix`'s pre-image is not yet recorded in the current
+    /// segment; marks it recorded.
+    #[inline]
+    fn first_write(&mut self, ix: usize) -> bool {
+        if self.seen.len() <= ix {
+            self.seen.resize(ix + 1, 0);
+        }
+        std::mem::replace(&mut self.seen[ix], self.segment) != self.segment
+    }
+
     /// Clears for reuse, keeping both buffers' capacity. O(touched).
     fn recycle(&mut self) {
         for e in self.entries.drain(..) {
             if let JournalEntry::Value { var, .. } = e {
-                self.seen[var.index()] = false;
+                self.seen[var.index()] = 0;
             }
         }
     }
@@ -1162,9 +1186,27 @@ impl Network {
             self.state.is_none(),
             "cannot open a journal mid-propagation"
         );
-        let j = std::mem::take(&mut self.spare_journal);
-        debug_assert!(j.entries.is_empty() && !j.seen.contains(&true));
+        let mut j = std::mem::take(&mut self.spare_journal);
+        debug_assert!(j.entries.is_empty() && j.seen.iter().all(|&s| s == 0));
+        j.segment = 1;
         self.journal = Some(j);
+    }
+
+    /// Marks the open journal's current end and starts a new segment:
+    /// [`Network::rollback_journal_to`] with the mark undoes exactly what
+    /// is journaled after it and keeps everything before, and a variable's
+    /// first write after the mark records its pre-image again. O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no journal is open.
+    pub fn journal_savepoint(&mut self) -> JournalMark {
+        let j = self.journal.as_mut().expect("no journal open");
+        j.segment = j.segment.checked_add(1).expect("journal segment overflow");
+        JournalMark {
+            len: j.entries.len(),
+            segment: j.segment,
+        }
     }
 
     /// Whether a change journal is currently open.
@@ -1204,28 +1246,43 @@ impl Network {
         self.spare_journal = j;
     }
 
-    /// Closes the journal, undoing every journaled change by replaying the
-    /// entries newest-first: variable pre-images are re-stored, added
-    /// variables and constraints are popped from the arenas (and unwired),
-    /// removed constraints are re-wired, and toggles are reverted.
+    /// Closes the journal, undoing every journaled change (see
+    /// [`Network::rollback_journal_to`]).
     ///
     /// # Panics
     ///
     /// Panics if no journal is open or a propagation cycle is active
     /// (abort the cycle first — see [`Network::abort_cycle`]).
     pub fn rollback_journal(&mut self) {
+        self.rollback_journal_to(JournalMark { len: 0, segment: 1 });
+        self.commit_journal();
+    }
+
+    /// Undoes every change journaled after `mark` by replaying those
+    /// entries newest-first: variable pre-images are re-stored, added
+    /// variables and constraints are popped from the arenas (and unwired),
+    /// removed constraints are re-wired, and toggles are reverted. The
+    /// journal stays open, positioned at `mark`. Entries are popped in
+    /// place, so a rollback allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no journal is open, `mark` lies past its end, or a
+    /// propagation cycle is active (abort the cycle first — see
+    /// [`Network::abort_cycle`]).
+    pub fn rollback_journal_to(&mut self, mark: JournalMark) {
         assert!(self.state.is_none(), "cannot roll back mid-propagation");
         let mut j = self.journal.take().expect("no journal open");
-        let mut entries = std::mem::take(&mut j.entries);
+        assert!(mark.len <= j.entries.len(), "mark past the journal's end");
         let mut structural = false;
-        for entry in entries.drain(..).rev() {
-            match entry {
+        while j.entries.len() > mark.len {
+            match j.entries.pop().expect("length checked") {
                 JournalEntry::Value {
                     var,
                     value,
                     justification,
                 } => {
-                    j.seen[var.index()] = false;
+                    j.seen[var.index()] = 0;
                     let s = &mut self.slots[var.index()];
                     s.value = value;
                     s.justification = justification;
@@ -1300,21 +1357,18 @@ impl Network {
         if structural {
             self.structure_generation += 1;
         }
-        j.entries = entries;
-        self.spare_journal = j;
+        j.segment = mark.segment;
+        self.journal = Some(j);
     }
 
-    /// Records `var`'s pre-image in the open journal, once per variable.
-    /// Must run before the write. A single branch when no journal is open.
+    /// Records `var`'s pre-image in the open journal, once per variable
+    /// and segment. Must run before the write. A single branch when no
+    /// journal is open.
     #[inline]
     fn journal_record_value(&mut self, var: VarId) {
         if let Some(j) = &mut self.journal {
             let ix = var.index();
-            if j.seen.len() <= ix {
-                j.seen.resize(ix + 1, false);
-            }
-            if !j.seen[ix] {
-                j.seen[ix] = true;
+            if j.first_write(ix) {
                 let s = &self.slots[ix];
                 j.entries.push(JournalEntry::Value {
                     var,
@@ -1529,12 +1583,7 @@ impl Network {
             ));
             st.var_marks[var.index()] = st.mark_epoch;
             if let Some(j) = journal {
-                let ix = var.index();
-                if j.seen.len() <= ix {
-                    j.seen.resize(ix + 1, false);
-                }
-                if !j.seen[ix] {
-                    j.seen[ix] = true;
+                if j.first_write(var.index()) {
                     j.entries.push(JournalEntry::Value {
                         var,
                         value: s.value.clone(),
@@ -2255,12 +2304,7 @@ impl Network {
             assignments += c.assignments;
             for (wvar, wvalue, wjust) in cone.scratch.pre.drain(..) {
                 if let Some(j) = &mut self.journal {
-                    let ix = wvar.index();
-                    if j.seen.len() <= ix {
-                        j.seen.resize(ix + 1, false);
-                    }
-                    if !j.seen[ix] {
-                        j.seen[ix] = true;
+                    if j.first_write(wvar.index()) {
                         j.entries.push(JournalEntry::Value {
                             var: wvar,
                             value: wvalue,

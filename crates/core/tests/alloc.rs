@@ -99,4 +99,29 @@ fn steady_state_propagation_is_allocation_free() {
         allocs, 0,
         "steady-state journaled transactions allocated {allocs} times"
     );
+
+    // A savepoint and a partial rollback pop entries in place: a stacked
+    // transaction of a seen shape allocates nothing either.
+    let stacked = |net: &mut Network, base: i64| {
+        net.begin_journal();
+        net.set(vars[0], Value::Int(base), Justification::User)
+            .unwrap();
+        let mark = net.journal_savepoint();
+        net.set(vars[0], Value::Int(base + 1), Justification::User)
+            .unwrap();
+        net.rollback_journal_to(mark);
+        net.set(vars[0], Value::Int(base + 2), Justification::User)
+            .unwrap();
+        net.rollback_journal();
+    };
+    stacked(&mut net, 300);
+    let allocs = count_allocs(|| {
+        for i in 0..8 {
+            stacked(&mut net, 400 + 10 * i);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state savepoints and partial rollbacks allocated {allocs} times"
+    );
 }

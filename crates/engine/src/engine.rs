@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use stem_core::{Network, ParStats, Stats};
+use stem_core::{JournalMark, Network, ParStats, Stats};
 use stem_persist::{
     decode_segment, GroupCommit, PersistCommand, PersistSpec, SessionState, Snapshot, Store,
     StoreOptions, SyncPolicy, WalRecord,
@@ -1145,6 +1145,15 @@ struct Session {
     quarantined: bool,
     /// Last logged commit sequence number (0 before the first log write).
     seq: u64,
+    /// Records appended for batches still held in the current group: the
+    /// next record's sequence number is `seq + logged + 1`.
+    logged: u64,
+    /// Group-commit epoch of the newest of those records. A batch stacked
+    /// on them is decided by the flush of this epoch.
+    tip: u64,
+    /// Highest client key of a batch that ran in the current group; a
+    /// keyed batch at or below it is a resubmit and waits for the group.
+    held_key: u64,
     /// Highest client idempotence key a successful batch carried (0 =
     /// none). Keyed submits at or below this are resubmits and are
     /// skipped; see [`Engine::submit_keyed`].
@@ -1239,6 +1248,9 @@ impl Worker {
             stats: SessionStats::default(),
             quarantined,
             seq: base_seq + applied,
+            logged: 0,
+            tip: 0,
+            held_key: 0,
             dedup: rs.dedup,
             specs,
         }
@@ -1444,16 +1456,22 @@ impl Worker {
                 stats: SessionStats::default(),
                 quarantined: false,
                 seq: 0,
+                logged: 0,
+                tip: 0,
+                held_key: 0,
                 dedup: 0,
                 specs: Vec::new(),
             }
         })
     }
 
-    /// Phase one of a batch: validates it, runs it under an open change
-    /// journal and appends its record. What comes back is settled by
-    /// [`Worker::settle`] — immediately, or after a group-commit wait
-    /// covers the record.
+    /// Phase one of a batch: validates it, runs it under its session's
+    /// change journal and appends its record. When the journal is already
+    /// open — a batch of the session is held in the current group — the
+    /// batch runs *stacked* on that batch's undurable state, under a
+    /// savepoint: a failure undoes its own segment only. What comes back
+    /// is settled by [`Worker::settle`] — at once, or after the group's
+    /// flush.
     fn execute(&mut self, id: SessionId, commands: Vec<Command>, key: u64) -> Executed {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         let logging = self.logging();
@@ -1484,7 +1502,7 @@ impl Worker {
             return Executed::Done(Err(BatchError::Quarantined));
         }
         if let Err(err) = validate(&sess.net, &commands, logging) {
-            return Executed::Done(Err(err));
+            return Executed::Failed(id, err);
         }
 
         // The loggable mirror is built before `apply_all` consumes the
@@ -1504,19 +1522,32 @@ impl Worker {
         // The network records pre-images and structural undo entries as
         // the batch runs; every failure replays them in reverse, so undoing
         // a batch costs O(touched set) whatever the network's size.
-        sess.net.begin_journal();
+        let stacked = sess.net.is_journaling();
+        let mark = if stacked {
+            Some(sess.net.journal_savepoint())
+        } else {
+            sess.net.begin_journal();
+            None
+        };
         let outputs = match catch_unwind(AssertUnwindSafe(|| apply_all(&mut sess.net, commands))) {
             Ok(Ok(outputs)) => outputs,
             Ok(Err((index, violation))) => {
-                sess.net.rollback_journal();
+                undo(&mut sess.net, mark);
                 return Executed::Failed(id, BatchError::Violation { index, violation });
             }
             Err(payload) => {
                 // The panic may have unwound out of an active cycle;
                 // finish its restoration (journal-coherently), then undo
-                // the rest of the batch.
+                // the rest of the batch. Quarantine at once: a later batch
+                // of the session must not run stacked on this network.
                 sess.net.abort_cycle();
-                sess.net.rollback_journal();
+                undo(&mut sess.net, mark);
+                sess.quarantined = true;
+                sess.stats.panics += 1;
+                counters.panics.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .sessions_quarantined
+                    .fetch_add(1, Ordering::Relaxed);
                 return Executed::Failed(
                     id,
                     BatchError::Panicked {
@@ -1528,21 +1559,23 @@ impl Worker {
         };
 
         // Log before acknowledging: the journal is still open, so a failed
-        // append — or a failed flush, at settle — rolls the whole batch
-        // back and the client's error means "not committed".
+        // append — or a failed flush, at settle — rolls the batch back and
+        // the client's error means "not committed". A stacked record
+        // follows the session's held ones in sequence, and is refused if
+        // a failure already discarded the newest of them.
         let logged = match to_log {
             None => None,
             Some(commands) => {
                 let record = WalRecord::Batch {
                     session: id.0,
-                    seq: sess.seq + 1,
+                    seq: sess.seq + sess.logged + 1,
                     key,
                     commands,
                 };
                 let appended = match &group {
                     // Group commit: the record is in the log, durable once
                     // a flush covers its epoch.
-                    Some(group) => group.append(&record),
+                    Some(group) => group.append(&record, if stacked { sess.tip } else { 0 }),
                     None => {
                         let store = store.as_ref().expect("logging requires a store");
                         store.lock().unwrap().append(&record).map(|n| (n, 0))
@@ -1553,6 +1586,8 @@ impl Worker {
                         let WalRecord::Batch { commands, .. } = record else {
                             unreachable!()
                         };
+                        sess.logged += 1;
+                        sess.tip = epoch;
                         Some(Logged {
                             commands,
                             bytes: bytes as u64,
@@ -1560,7 +1595,7 @@ impl Worker {
                         })
                     }
                     Err(err) => {
-                        sess.net.rollback_journal();
+                        undo(&mut sess.net, mark);
                         return Executed::Failed(
                             id,
                             BatchError::Persist {
@@ -1571,41 +1606,65 @@ impl Worker {
                 }
             }
         };
+        sess.held_key = if stacked { sess.held_key.max(key) } else { key };
         Executed::Ran(Pending {
             session: id,
             key,
             outputs,
             before,
+            after: (sess.net.stats(), sess.net.par_stats()),
+            mark,
             logged,
         })
     }
 
-    /// Phase two of a batch: commits a batch that ran — if `flushed`, the
-    /// outcome of the wait covering its record, is `Ok` — or rolls it
-    /// back; advances the session's durable cursor, dedup mark and spec
-    /// shadow; and updates the counters.
+    /// Phase two of a batch. `flushed` is the verdict on the record the
+    /// batch depends on: its own, or — stacked and unlogged — the newest
+    /// held record of its session (`Ok` when it depends on none). On `Ok`
+    /// a batch that ran commits: it advances the session's durable cursor,
+    /// dedup mark and spec shadow and is counted. On `Err` every batch that
+    /// ran or failed on the discarded state replies `Persist`; its journal
+    /// segment was already undone by [`Worker::settle_group`]. The
+    /// session's journal closes with its last held record.
     fn settle(
         &mut self,
         executed: Executed,
         flushed: &io::Result<()>,
     ) -> Result<BatchOutcome, BatchError> {
-        let (id, result) = match executed {
+        let (id, ran) = match executed {
             Executed::Done(result) => return result,
             Executed::Failed(id, err) => (id, Err(err)),
-            Executed::Ran(p) => (p.session, self.commit_or_rollback(p, flushed)),
+            Executed::Ran(p) => (p.session, Ok(p)),
         };
         let counters = &self.counters;
         let sess = self
             .sessions
             .get_mut(&id)
             .expect("a batch that ran has a session");
+        if matches!(&ran, Ok(p) if p.logged.is_some()) {
+            sess.logged -= 1;
+        }
+        let result = match (ran, flushed) {
+            (ran, Ok(())) => ran,
+            (_, Err(err)) => Err(BatchError::Persist {
+                message: err.to_string(),
+            }),
+        };
+        if sess.logged == 0 && sess.net.is_journaling() {
+            sess.net.commit_journal();
+        }
         match result {
-            Ok(p) => {
-                let after = (sess.net.stats(), sess.net.par_stats());
+            Ok(mut p) => {
+                if let Some(logged) = p.logged.take() {
+                    sess.seq += 1;
+                    sess.stats.wal_appends += 1;
+                    sess.stats.wal_bytes += logged.bytes;
+                    persist::absorb_committed(&mut sess.specs, &logged.commands);
+                }
                 counters.batches_ok.fetch_add(1, Ordering::Relaxed);
-                counters.add_network(&p.before, &after);
-                let waves = after.0.cycles.saturating_sub(p.before.0.cycles);
-                let assignments = after.0.assignments.saturating_sub(p.before.0.assignments);
+                counters.add_network(&p.before, &p.after);
+                let waves = p.after.0.cycles.saturating_sub(p.before.0.cycles);
+                let assignments = p.after.0.assignments.saturating_sub(p.before.0.assignments);
                 sess.stats.batches_ok += 1;
                 sess.stats.waves += waves;
                 sess.stats.assignments += assignments;
@@ -1625,16 +1684,7 @@ impl Worker {
                         counters.rollbacks.fetch_add(1, Ordering::Relaxed);
                         sess.stats.violations += 1;
                     }
-                    BatchError::Panicked { .. } => {
-                        counters.panics.fetch_add(1, Ordering::Relaxed);
-                        counters.rollbacks.fetch_add(1, Ordering::Relaxed);
-                        counters
-                            .sessions_quarantined
-                            .fetch_add(1, Ordering::Relaxed);
-                        sess.stats.panics += 1;
-                        sess.quarantined = true;
-                    }
-                    BatchError::Persist { .. } => {
+                    BatchError::Panicked { .. } | BatchError::Persist { .. } => {
                         counters.rollbacks.fetch_add(1, Ordering::Relaxed);
                     }
                     _ => {}
@@ -1644,45 +1694,22 @@ impl Worker {
         }
     }
 
-    /// Ends a pending batch: commits it when its record is durable,
-    /// otherwise undoes it so the session is exactly as before the batch.
-    fn commit_or_rollback(
-        &mut self,
-        mut p: Pending,
-        flushed: &io::Result<()>,
-    ) -> Result<Pending, BatchError> {
-        let sess = self
-            .sessions
-            .get_mut(&p.session)
-            .expect("a session stays open while its batch is pending");
-        if let Err(err) = flushed {
-            sess.net.rollback_journal();
-            return Err(BatchError::Persist {
-                message: err.to_string(),
-            });
-        }
-        sess.net.commit_journal();
-        if let Some(logged) = p.logged.take() {
-            sess.seq += 1;
-            sess.stats.wal_appends += 1;
-            sess.stats.wal_bytes += logged.bytes;
-            persist::absorb_committed(&mut sess.specs, &logged.commands);
-        }
-        Ok(p)
-    }
-
     /// Serves `first`, a batch, and under group commit every batch ready
-    /// behind it, as one group: each runs and appends its record, one
-    /// `wait` on the newest epoch covers them all, and they settle in
-    /// execution order. A later batch for a session already in the group
-    /// — read-only ones too, which must not see undurable state — is
-    /// deferred to `backlog`, as is the first non-batch job, which ends the
-    /// drain; both are served before the channel is read again, so every
+    /// behind it, as one group. Each batch runs and appends its record; a
+    /// batch whose session already has one held in the group runs stacked
+    /// on it ([`Worker::execute`]). Every batch that logged a record or
+    /// ran stacked is held: one flush covers the whole group, and the
+    /// held batches settle and reply in execution order
+    /// ([`Worker::settle_group`]). Two kinds of job wait in `backlog`
+    /// instead: a keyed resubmit of a batch that ran in the group (its
+    /// dedup mark is decided when the original settles), with every later
+    /// batch of its session, and the first non-batch job, which ends the
+    /// drain. Both are served before the channel is read again, so every
     /// session's batches and every non-batch job keep submission order.
     /// Without group commit the group never grows past `first`.
     fn run_group(&mut self, first: Job, backlog: &mut VecDeque<Job>) {
         let drain = self.group.is_some();
-        let mut pending: Vec<(Pending, Reply, Instant)> = Vec::new();
+        let mut held = Vec::new();
         let mut deferred = Vec::new();
         let mut ender = None;
         let mut next = Some(first);
@@ -1690,8 +1717,8 @@ impl Worker {
         while let Some(job) = next.take() {
             taken += 1;
             match job {
-                Job::Batch { session, .. }
-                    if pending.iter().any(|(p, ..)| p.session == session) =>
+                Job::Batch { session, key, .. }
+                    if drain && self.must_wait(session, key, &deferred) =>
                 {
                     deferred.push(job)
                 }
@@ -1701,13 +1728,31 @@ impl Worker {
                     key,
                     reply,
                     enqueued,
-                } => match self.execute(session, commands, key) {
-                    Executed::Ran(p) if p.epoch() != 0 => pending.push((p, reply, enqueued)),
-                    executed => {
+                } => {
+                    // Only a group holds batches, so only a drain stacks.
+                    let tip = drain
+                        .then(|| self.sessions.get(&session))
+                        .flatten()
+                        .filter(|s| s.net.is_journaling())
+                        .map(|s| s.tip);
+                    let executed = self.execute(session, commands, key);
+                    let depends = match &executed {
+                        Executed::Ran(p) if p.epoch() != 0 => p.epoch(),
+                        Executed::Done(_) => 0,
+                        _ => tip.unwrap_or(0),
+                    };
+                    if tip.is_some() || depends != 0 {
+                        held.push(Held {
+                            executed,
+                            depends,
+                            reply,
+                            enqueued,
+                        });
+                    } else {
                         let result = self.settle(executed, &Ok(()));
                         self.reply(reply, enqueued, result);
                     }
-                },
+                }
                 job => {
                     ender = Some(job);
                     break;
@@ -1717,17 +1762,58 @@ impl Worker {
                 next = backlog.pop_front().or_else(|| self.try_recv());
             }
         }
-        let last = pending.iter().map(|(p, ..)| p.epoch()).max();
-        let flushed = match (&self.group, last) {
-            (Some(gc), Some(epoch)) => gc.wait(epoch),
-            _ => Ok(()),
-        };
-        for (p, reply, enqueued) in pending {
-            let result = self.settle(Executed::Ran(p), &flushed);
-            self.reply(reply, enqueued, result);
+        if !held.is_empty() {
+            self.settle_group(held);
         }
         for job in deferred.into_iter().chain(ender).rev() {
             backlog.push_front(job);
+        }
+    }
+
+    /// Whether a batch drained into a group must wait for the group to
+    /// settle: its session already has a batch waiting, or it is a keyed
+    /// resubmit of a batch that ran in the group.
+    fn must_wait(&self, session: SessionId, key: u64, deferred: &[Job]) -> bool {
+        deferred
+            .iter()
+            .any(|job| matches!(job, Job::Batch { session: s, .. } if *s == session))
+            || key != 0
+                && self
+                    .sessions
+                    .get(&session)
+                    .is_some_and(|s| s.net.is_journaling() && key <= s.held_key)
+    }
+
+    /// Settles a group's held batches. Each learns its own record's fate
+    /// from `wait`; the first wait that finds its epoch unflushed leads a
+    /// flush covering every record appended so far, so the whole group
+    /// shares it. A failed write or sync discards every record since the
+    /// last good flush — possibly only a tail of the group, when another
+    /// worker's flush covered its head — and a session's records after a
+    /// discarded one are discarded too, since a stacked append is refused
+    /// once its predecessor is. Discarded batches are undone newest first,
+    /// so nested savepoints unwind in order, before anything settles.
+    fn settle_group(&mut self, held: Vec<Held>) {
+        let group = self.group.clone().expect("only group commit holds batches");
+        let verdicts: Vec<io::Result<()>> = held
+            .iter()
+            .map(|h| match h.depends {
+                0 => Ok(()),
+                epoch => group.wait(epoch),
+            })
+            .collect();
+        for (h, verdict) in held.iter().zip(&verdicts).rev() {
+            if let (Executed::Ran(p), Err(_)) = (&h.executed, verdict) {
+                let sess = self
+                    .sessions
+                    .get_mut(&p.session)
+                    .expect("a session stays open while its batch is held");
+                undo(&mut sess.net, p.mark);
+            }
+        }
+        for (h, verdict) in held.into_iter().zip(verdicts) {
+            let result = self.settle(h.executed, &verdict);
+            self.reply(h.reply, h.enqueued, result);
         }
     }
 
@@ -1763,8 +1849,13 @@ struct Pending {
     session: SessionId,
     key: u64,
     outputs: Vec<Output>,
-    /// Network stats before the batch ran.
+    /// Network stats before and after the batch ran, taken in `execute`:
+    /// by settle time later stacked batches have moved them.
     before: (Stats, ParStats),
+    after: (Stats, ParStats),
+    /// Start of the batch's journal segment; `None` when the batch opened
+    /// the journal.
+    mark: Option<JournalMark>,
     /// `None` when the batch logs nothing (read-only, or not logging).
     logged: Option<Logged>,
 }
@@ -1775,15 +1866,36 @@ impl Pending {
     }
 }
 
-/// What [`Worker::execute`] hands to [`Worker::settle`].
+/// What [`Worker::execute`] hands to [`Worker::settle`]. `Ran` is large
+/// (two stats snapshots); boxing it would allocate once per batch.
+#[allow(clippy::large_enum_variant)]
 enum Executed {
     /// Decided without running: a dedup skip or a refusal. Counts nothing
     /// beyond the batch itself.
     Done(Result<BatchOutcome, BatchError>),
-    /// Failed while running or appending; already rolled back.
+    /// Failed validation, or failed while running or appending; already
+    /// rolled back.
     Failed(SessionId, BatchError),
     /// Ran to completion; commits or rolls back at settle.
     Ran(Pending),
+}
+
+/// A batch held until its group's flush.
+struct Held {
+    executed: Executed,
+    /// Epoch of the record whose flush decides the batch (0 = none).
+    depends: u64,
+    reply: Reply,
+    enqueued: Instant,
+}
+
+/// Undoes a failed batch: back to `mark` when it ran stacked on held
+/// batches of its session, otherwise the whole journal.
+fn undo(net: &mut Network, mark: Option<JournalMark>) {
+    match mark {
+        Some(mark) => net.rollback_journal_to(mark),
+        None => net.rollback_journal(),
+    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

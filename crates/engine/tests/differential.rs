@@ -5,26 +5,34 @@
 //! batch's expected outcome comes from a fresh engine that replays every
 //! committed batch and then this one, and the expected state after the
 //! batch from a twin engine that has only ever applied committed batches.
-//! Outcomes and `DumpValues` dumps must match after every batch.
+//! Outcomes and `DumpValues` dumps must match after every batch. A
+//! group-commit leg pipelines each phase into a durable engine, so
+//! violations, structural edits and removals run stacked on batches whose
+//! records are not yet durable.
 
 use std::rc::Rc;
 
 use stem_core::prng::SplitMix64;
 use stem_core::{ConstraintId, ConstraintKind, Network, Value, VarId, Violation};
 use stem_engine::{
-    BatchError, BatchOutcome, Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId,
-    Source,
+    BatchError, BatchOutcome, Command, ConstraintSpec, Durability, DurabilityOptions, Engine,
+    EngineConfig, Output, SessionId, Source,
 };
+use stem_testkit::TempDir;
 
 /// Variables in the chain every session starts from; it also carries one
 /// constraint per variable (the equalities plus the tripwire).
 const CHAIN: usize = 10;
 
-fn engine() -> Engine {
-    Engine::with_config(EngineConfig {
+fn one_worker() -> EngineConfig {
+    EngineConfig {
         workers: 1,
         ..EngineConfig::default()
-    })
+    }
+}
+
+fn engine() -> Engine {
+    Engine::with_config(one_worker())
 }
 
 /// One deterministic batch drawn from the rng. `structural` additionally
@@ -158,6 +166,13 @@ impl Oracle {
     }
 }
 
+/// `(name, rounds, structural, removals)` per phase of a workload.
+const PHASES: [(&str, usize, bool, bool); 3] = [
+    ("value-only", 120, false, false),
+    ("structural", 40, true, false),
+    ("removal", 30, true, true),
+];
+
 #[test]
 fn journal_rollback_matches_a_rollback_free_oracle() {
     let (subject, s) = chain_engine();
@@ -166,12 +181,7 @@ fn journal_rollback_matches_a_rollback_free_oracle() {
         twin: chain_engine(),
     };
     let mut rng = SplitMix64::new(0xD1FF);
-    let phases = [
-        ("value-only", 120, false, false),
-        ("structural", 40, true, false),
-        ("removal", 30, true, true),
-    ];
-    for (phase, rounds, structural, removals) in phases {
+    for (phase, rounds, structural, removals) in PHASES {
         let mut rolled_back = 0usize;
         let mut removed = 0usize;
         for round in 0..rounds {
@@ -211,6 +221,77 @@ fn journal_rollback_matches_a_rollback_free_oracle() {
             assert!(removed > 0, "{phase}: no removal batch committed");
         }
     }
+}
+
+#[test]
+fn stacked_group_commit_matches_the_rollback_free_oracle() {
+    let dir = TempDir::new("stacked-differential");
+    let durable = || {
+        let opts = DurabilityOptions {
+            mode: Durability::GroupCommit,
+            checkpoint_bytes: 0,
+            ..DurabilityOptions::default()
+        };
+        Engine::open_with_config(&dir, one_worker(), opts).unwrap()
+    };
+    let subject = durable();
+    let s = subject.create_session();
+    build_chain(&subject, s);
+    let mut oracle = Oracle {
+        committed: Vec::new(),
+        twin: chain_engine(),
+    };
+    let mut rng = SplitMix64::new(0x57AC);
+    let before = subject.stats();
+    for (phase, rounds, structural, removals) in PHASES {
+        // The whole phase is in flight before any reply is read.
+        let draws: Vec<Draw> = (0..rounds)
+            .map(|_| {
+                let draw = Draw {
+                    rng,
+                    structural,
+                    removals,
+                };
+                gen_batch(&mut rng, structural, removals);
+                draw
+            })
+            .collect();
+        let tickets: Vec<_> = draws
+            .iter()
+            .map(|draw| subject.submit(s, draw.commands()))
+            .collect();
+        let mut rolled_back = 0usize;
+        for (round, (draw, ticket)) in draws.into_iter().zip(tickets).enumerate() {
+            let result = ticket.wait();
+            assert_eq!(
+                render(&result),
+                oracle.outcome(draw),
+                "{phase} outcome diverged at round {round}"
+            );
+            if result.is_ok() {
+                oracle.commit(draw);
+            } else {
+                rolled_back += 1;
+            }
+        }
+        assert!(rolled_back > 0, "{phase}: no batch rolled back");
+        let (twin, twin_session) = &oracle.twin;
+        assert_eq!(
+            dump(&subject, s),
+            dump(twin, *twin_session),
+            "{phase} state diverged"
+        );
+    }
+    let after = subject.stats();
+    let appends = after.wal_appends - before.wal_appends;
+    let syncs = after.wal_group_syncs - before.wal_group_syncs;
+    assert!(
+        syncs * 4 <= appends,
+        "batches did not stack: {syncs} flushes for {appends} appends"
+    );
+    let want = dump(&subject, s);
+    drop(subject);
+    assert_eq!(dump(&durable(), s), want, "after reopen");
 }
 
 /// Panics once a non-nil value reaches it. Installing it is safe: the

@@ -4,11 +4,14 @@
 //! before its reply — same contract as `CommitSync` — but appends share
 //! fsyncs: across workers that wait at the same time, and within a worker
 //! that drains its queue, appends every ready batch and waits once for
-//! the group. These tests pin the contract (reopen equality, rollback of
-//! every batch a failed flush covered) and the amortisation (flushes ≤
-//! appends, and at most half as many when one worker has a queue of
-//! pipelined batches).
+//! the group, a session's later batches stacked on its earlier ones. These
+//! tests pin the contract (reopen equality, rollback of every batch a
+//! failed flush covered, no failed record shadowing a later ack after a
+//! transient fsync failure) and the amortisation (flushes ≤ appends, at
+//! most half as many when one worker has a queue of pipelined batches,
+//! and a handful for one session's 64 pipelined batches).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use stem_core::{Value, VarId};
@@ -16,7 +19,7 @@ use stem_engine::{
     BatchError, Command, Durability, DurabilityOptions, Engine, EngineConfig, Output, SessionId,
     Source,
 };
-use stem_persist::{failing_factory, ByteBudget};
+use stem_persist::{failing_factory, flaky_sync_factory, ByteBudget};
 use stem_testkit::TempDir;
 
 fn opts() -> DurabilityOptions {
@@ -134,6 +137,140 @@ fn failed_group_flush_rolls_the_batch_back() {
         Value::Int(1),
         "batch not rolled back"
     );
+}
+
+fn one_worker() -> EngineConfig {
+    EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    }
+}
+
+#[test]
+fn one_flush_covers_a_sessions_pipelined_batches() {
+    const TICKETS: u64 = 64;
+    let dir = TempDir::new("stacked-sets");
+    let engine = Engine::open_with_config(&dir, one_worker(), opts()).unwrap();
+    let s = engine.create_session();
+    engine
+        .apply(s, vec![Command::AddVariable { name: "x".into() }])
+        .unwrap();
+    let before = engine.stats();
+    // Each batch of the session runs stacked on the undurable one before
+    // it, so the group does not stop at one batch per session.
+    let tickets: Vec<_> = (0..TICKETS)
+        .map(|i| engine.submit(s, vec![set(0, i as i64)]))
+        .collect();
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    let after = engine.stats();
+    let appends = after.wal_appends - before.wal_appends;
+    let syncs = after.wal_group_syncs - before.wal_group_syncs;
+    assert_eq!(appends, TICKETS);
+    assert!(
+        syncs <= 4,
+        "{syncs} flushes for {appends} pipelined appends of one session"
+    );
+    let want = dump(&engine, s);
+    assert_eq!(want[0].1, Value::Int(TICKETS as i64 - 1));
+    drop(engine);
+    let engine = Engine::open(&dir).unwrap();
+    assert_eq!(dump(&engine, s), want, "after reopen");
+}
+
+/// A transient fsync failure, then a clean commit: the failed batch's
+/// record reached the file before its sync failed, and the next commit
+/// reuses its sequence number, so the failed record must not replay.
+fn transient_fsync_failure_never_shadows_a_later_ack(mode: Durability) {
+    let dir = TempDir::new("flaky-sync");
+    let fail = Arc::new(AtomicBool::new(false));
+    let flaky = DurabilityOptions {
+        mode,
+        checkpoint_bytes: 0,
+        file_factory: Some(flaky_sync_factory(Arc::clone(&fail))),
+        ..DurabilityOptions::default()
+    };
+    let engine = Engine::open_with_config(&dir, one_worker(), flaky).unwrap();
+    let s = engine.create_session();
+    engine
+        .apply(
+            s,
+            vec![Command::AddVariable { name: "x".into() }, set(0, 1)],
+        )
+        .unwrap();
+    fail.store(true, Ordering::SeqCst);
+    // Pipelined, so under group commit the second runs stacked on the
+    // first and fails with it.
+    let tickets = [
+        engine.submit(s, vec![set(0, 2)]),
+        engine.submit(s, vec![set(0, 5)]),
+    ];
+    for ticket in tickets {
+        let err = ticket.wait().unwrap_err();
+        assert!(matches!(err, BatchError::Persist { .. }), "{mode:?}: {err}");
+    }
+    assert_eq!(
+        dump(&engine, s)[0].1,
+        Value::Int(1),
+        "{mode:?}: rolled back"
+    );
+    fail.store(false, Ordering::SeqCst);
+    engine
+        .apply(s, vec![set(0, 3)])
+        .expect("the disk works again");
+    drop(engine);
+
+    let engine = Engine::open(&dir).unwrap();
+    assert_eq!(
+        dump(&engine, s)[0].1,
+        Value::Int(3),
+        "{mode:?}: acked batch lost"
+    );
+    engine.apply(s, vec![set(0, 4)]).unwrap();
+    drop(engine);
+    let engine = Engine::open(&dir).unwrap();
+    assert_eq!(
+        dump(&engine, s)[0].1,
+        Value::Int(4),
+        "{mode:?}: after reopen"
+    );
+}
+
+#[test]
+fn transient_fsync_failure_under_group_commit() {
+    transient_fsync_failure_never_shadows_a_later_ack(Durability::GroupCommit);
+}
+
+#[test]
+fn transient_fsync_failure_under_commit_sync() {
+    transient_fsync_failure_never_shadows_a_later_ack(Durability::CommitSync);
+}
+
+#[test]
+fn a_keyed_resubmit_waits_for_its_original_to_settle() {
+    let dir = TempDir::new("keyed-stack");
+    let engine = Engine::open_with_config(&dir, one_worker(), opts()).unwrap();
+    let s = engine.create_session();
+    engine
+        .submit_keyed(s, vec![Command::AddVariable { name: "x".into() }], 1)
+        .wait()
+        .unwrap();
+    let before = engine.stats().wal_appends;
+    let tickets = [
+        engine.submit_keyed(s, vec![set(0, 5)], 2),
+        // A resubmit of key 2: skipped once the original commits.
+        engine.submit_keyed(s, vec![set(0, 99)], 2),
+        engine.submit_keyed(s, vec![set(0, 6)], 3),
+        engine.submit_keyed(s, vec![set(0, 7)], 0),
+    ];
+    let outputs: Vec<usize> = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().outputs.len())
+        .collect();
+    assert_eq!(outputs, [1, 0, 1, 1], "the resubmit is a skip");
+    assert_eq!(engine.stats().wal_appends - before, 3);
+    assert_eq!(dump(&engine, s)[0].1, Value::Int(7));
 }
 
 #[test]
@@ -333,10 +470,10 @@ fn disk_bytes(dir: &TempDir) -> u64 {
 fn failed_flush_rolls_back_every_batch_of_a_pipelined_group() {
     const SESSIONS: u64 = 4;
     const BATCHES: usize = 64;
-    let config = EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    };
+    /// Tickets submitted together; each wave is redeemed before the next
+    /// is submitted, so a cut lands after acked waves.
+    const WAVE: usize = 8;
+    let config = one_worker();
     // Measure the log: its size after the set-up batches and after the
     // whole stream. Record sizes do not depend on how batches group.
     let (setup_bytes, total_bytes) = {
@@ -369,12 +506,16 @@ fn failed_flush_rolls_back_every_batch_of_a_pipelined_group() {
         for &s in &sessions {
             engine.apply(s, setup()).unwrap();
         }
-        let tickets: Vec<_> = stream(11, SESSIONS, BATCHES)
-            .into_iter()
-            .map(|(s, batch)| (s, engine.submit(SessionId(s), batch)))
-            .collect();
-        let results: Vec<(u64, Result<_, BatchError>)> =
-            tickets.into_iter().map(|(s, t)| (s, t.wait())).collect();
+        let mut results: Vec<(u64, Result<_, BatchError>)> = Vec::new();
+        let mut batches = stream(11, SESSIONS, BATCHES).into_iter().peekable();
+        while batches.peek().is_some() {
+            let tickets: Vec<_> = batches
+                .by_ref()
+                .take(WAVE)
+                .map(|(s, batch)| (s, engine.submit(SessionId(s), batch)))
+                .collect();
+            results.extend(tickets.into_iter().map(|(s, t)| (s, t.wait())));
+        }
         let failed = results
             .iter()
             .filter(|(_, r)| matches!(r, Err(BatchError::Persist { .. })))
@@ -385,17 +526,19 @@ fn failed_flush_rolls_back_every_batch_of_a_pipelined_group() {
             "budget {budget}: the cut must fall after some acked batches"
         );
 
-        // Acked batches (and the first Persist-failed one) per session,
-        // as indexes into the stream.
+        // Per session, as indexes into the stream: its acked batches, and
+        // the ones that replied `Persist`.
         let acked = |s: u64| -> Vec<usize> {
             (0..results.len())
                 .filter(|&i| results[i].0 == s && results[i].1.is_ok())
                 .collect()
         };
-        let first_failed = |s: u64| {
-            (0..results.len()).find(|&i| {
-                results[i].0 == s && matches!(results[i].1, Err(BatchError::Persist { .. }))
-            })
+        let persist_failed = |s: u64| -> Vec<usize> {
+            (0..results.len())
+                .filter(|&i| {
+                    results[i].0 == s && matches!(results[i].1, Err(BatchError::Persist { .. }))
+                })
+                .collect()
         };
         let replay = |s: u64, keep: &[usize]| {
             let batches = stream(11, SESSIONS, BATCHES)
@@ -418,19 +561,23 @@ fn failed_flush_rolls_back_every_batch_of_a_pipelined_group() {
         drop(engine);
 
         // On disk: every acked batch survives. A failed flush does not
-        // un-write bytes: the torn write may have landed a session's first
-        // failed record whole (a group holds at most one per session), so
-        // recovery may replay that one orphan on top — never anything else.
+        // un-write what reached the file before the disk died, so a
+        // session may recover some of its failed records whole on top —
+        // only ever a prefix of them, in sequence order (a stacked
+        // record follows its predecessor). No write is acked after the
+        // cut, so none can be shadowed by such an orphan.
         let engine = Engine::open(&dir).unwrap();
         for &s in &sessions {
             let got = dump(&engine, s);
             let acked = acked(s.0);
-            let mut with_orphan = acked.clone();
-            with_orphan.extend(first_failed(s.0));
+            let failed = persist_failed(s.0);
             assert!(
-                got == replay(s.0, &acked) || got == replay(s.0, &with_orphan),
-                "budget {budget}: {s} after reopen is neither its acked batches \
-                 nor those plus its first failed one"
+                (0..=failed.len()).any(|j| {
+                    let keep: Vec<usize> = acked.iter().chain(&failed[..j]).copied().collect();
+                    got == replay(s.0, &keep)
+                }),
+                "budget {budget}: {s} after reopen is not its acked batches \
+                 plus a prefix of the failed ones"
             );
         }
     }

@@ -10,7 +10,7 @@
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::store::{FileFactory, StoreFile};
@@ -96,6 +96,15 @@ impl StoreFile for FailingFile {
         }
         self.inner.sync_data()
     }
+
+    /// A crashed machine cuts nothing: once the budget is spent the torn
+    /// tail stays on disk for recovery to find.
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        if self.budget.remaining() == 0 {
+            return Err(crashed());
+        }
+        self.inner.truncate(len)
+    }
 }
 
 /// A [`FileFactory`] whose files share one byte budget. File creation
@@ -112,6 +121,51 @@ pub fn failing_factory(budget: ByteBudget) -> FileFactory {
             .write(true)
             .open(path)?;
         Ok(Box::new(FailingFile::new(f, budget.clone())) as Box<dyn StoreFile>)
+    })
+}
+
+/// A real file whose fsync fails while a shared flag is set: a transient
+/// sync error, after which the disk works again. Writes and truncation
+/// always go through.
+struct FlakySyncFile {
+    inner: fs::File,
+    fail: Arc<AtomicBool>,
+}
+
+impl Write for FlakySyncFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl StoreFile for FlakySyncFile {
+    fn sync(&mut self) -> io::Result<()> {
+        if self.fail.load(Ordering::SeqCst) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        self.inner.sync_data()
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+/// A [`FileFactory`] of real files whose `sync` fails while `fail` is
+/// set — a transient fsync error — and works again once it is cleared.
+pub fn flaky_sync_factory(fail: Arc<AtomicBool>) -> FileFactory {
+    Box::new(move |path: &Path| {
+        let inner = fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(path)?;
+        let fail = Arc::clone(&fail);
+        Ok(Box::new(FlakySyncFile { inner, fail }) as Box<dyn StoreFile>)
     })
 }
 

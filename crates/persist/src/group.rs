@@ -10,39 +10,41 @@
 //!   so far, itself included).
 //! - [`GroupCommit::wait`] returns once a flush has covered that epoch.
 //!   The first waiter to find no flush in progress elects itself leader,
-//!   re-takes the store lock, observes how many records have been
-//!   appended so far (`cover`), and issues a single fsync that makes all
-//!   of them durable at once; everyone whose epoch the flush covered is
-//!   released together. Waiters that arrive while a flush is in flight
-//!   simply wait — by the time the current flush finishes and the next
-//!   leader reads its own `cover`, their records are included, so nobody
-//!   ever waits for more than two flushes.
+//!   re-takes the store lock, and issues a single fsync that makes every
+//!   record appended so far durable at once; everyone whose epoch the
+//!   flush covered is released together. Waiters that arrive while a
+//!   flush is in flight simply wait — the next leader's flush includes
+//!   their records, so nobody ever waits for more than two flushes.
 //!
 //! Flushes are shared two ways. Across threads: engine workers waiting at
 //! the same time ride one leader's fsync. Within a thread: an engine
-//! worker drains its queue, runs and appends every ready batch (deferring
-//! a session's later batch until its earlier one settles, so per-session
-//! order holds), and then makes a single `wait` on the newest epoch for
-//! the whole group.
+//! worker drains its queue, runs and appends every ready batch — a
+//! session's later batch runs stacked on its earlier, still undurable one
+//! (its record's `after` names that one's epoch) — and then waits on
+//! their epochs: the first wait's flush covers the whole group.
 //!
 //! ## Ordering argument
 //!
-//! `appended` is only incremented while holding the store lock, *after*
-//! the record's bytes are in the store (file or deferred write buffer).
-//! The leader reads `cover = appended` while *itself* holding the store
-//! lock, so every record counted by `cover` is fully appended before the
-//! `Store::sync` that follows (which flushes the write buffer first).
-//! `synced >= epoch` therefore really does mean "my record is durable" —
-//! and, since epochs grow with append order, so are all earlier ones.
+//! Epochs are the store's append count, read under the store lock right
+//! after the append. The leader syncs while *itself* holding the store
+//! lock, so every record counted before the `Store::sync` (which flushes
+//! the write buffer first) is covered by it, and epochs grow with append
+//! order.
 //!
 //! ## Failure
 //!
-//! If the flush fails, every epoch it covered gets an error: the engine
-//! rolls back every batch of a group whose `wait` failed, and acks none
-//! of them — the same semantics as a failed inline fsync under
-//! commit-sync. A record may physically exist in the log as an orphan
-//! (a failed flush does not un-write bytes), which is why recovery may
-//! find a batch whose client was told it failed, never the reverse.
+//! A failed write or sync discards every record appended since the last
+//! good sync, and the store cuts their bytes off the log before it writes
+//! again, so none of them can replay ahead of a
+//! later record that reuses its sequence number. The leader publishes the
+//! store's synced count and discarded ranges after every flush, so
+//! `wait` answers each epoch exactly: a discarded epoch errors even if a
+//! later flush has succeeded since. The engine rolls back every batch
+//! whose record was discarded, with every batch stacked on it, and acks
+//! none of them — the same semantics as a failed inline fsync under
+//! commit-sync. Only a crash before the cut leaves such records in the
+//! log, which is why recovery may find a batch whose client was told it
+//! failed, never the reverse.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,12 +55,11 @@ use crate::store::Store;
 
 #[derive(Default)]
 struct GcState {
-    /// Records appended so far (bumped under the store lock).
-    appended: u64,
-    /// Highest epoch made durable by a completed flush.
+    /// Highest epoch made durable by a completed flush (unless voided).
     synced: u64,
-    /// Highest epoch covered by a *failed* flush; those commits error out.
-    failed: u64,
+    /// The store's voided epoch ranges ([`Store::voided`]) as of the last
+    /// flush: those commits error out even once `synced` passes them.
+    voided: Vec<(u64, u64)>,
     /// Message of the most recent flush failure.
     failed_msg: String,
     /// Whether a committer is currently driving a flush.
@@ -94,56 +95,68 @@ impl GroupCommit {
     }
 
     /// Appends `rec` under the store lock and returns its frame size in
-    /// bytes (like [`Store::append`]) and its *sync epoch*. The record is
-    /// in the log but not yet durable: it is acknowledgeable only once
-    /// [`GroupCommit::wait`] on this epoch, or on any later one, has
-    /// returned `Ok`. An `Err` here means nothing was appended.
-    pub fn append(&self, rec: &WalRecord) -> io::Result<(usize, u64)> {
-        // Lock order is always store → state, so `appended` counts exactly
-        // the records whose bytes are already in the store.
+    /// bytes (like [`Store::append`]) and its *sync epoch*: the store's
+    /// append count, itself included. The record is in the log but not
+    /// yet durable: it is acknowledgeable only once [`GroupCommit::wait`]
+    /// on its epoch has returned `Ok`. An `Err` here means the record is
+    /// not logged.
+    ///
+    /// `after` is the epoch of an unsettled record `rec` builds on (0 for
+    /// none): once a failure has discarded that record, `rec` is refused.
+    /// Checked under the store lock, where every discard happens, so a
+    /// chain of dependent records is always discarded from some point on,
+    /// never with a hole.
+    pub fn append(&self, rec: &WalRecord, after: u64) -> io::Result<(usize, u64)> {
         let mut store = self.store.lock().unwrap();
+        if voided(store.voided(), after) {
+            return Err(io::Error::other(
+                "group commit: an earlier record of this chain was discarded",
+            ));
+        }
         let n = store.append(rec)?;
-        let mut g = self.state.lock().unwrap();
-        g.appended += 1;
         self.commits.fetch_add(1, Ordering::Relaxed);
-        Ok((n, g.appended))
+        Ok((n, store.stats().appends))
     }
 
     /// Returns once a flush has made every record up to `epoch` durable,
-    /// leading that flush if none is in progress; errors if the flush that
-    /// covered `epoch` failed. One call on the newest of several epochs
-    /// settles all of them: a flush covers everything appended before it.
+    /// leading that flush if none is in progress; errors if a failed write
+    /// or sync discarded `epoch`'s record. One call on the newest of
+    /// several epochs settles all of them: a flush covers everything
+    /// appended before it, and a failure discards every record since the
+    /// last good flush.
     pub fn wait(&self, epoch: u64) -> io::Result<()> {
         let mut g = self.state.lock().unwrap();
         loop {
-            if g.synced >= epoch {
-                return Ok(());
-            }
-            if g.failed >= epoch {
+            if voided(&g.voided, epoch) {
                 return Err(io::Error::other(format!(
                     "group commit flush failed: {}",
                     g.failed_msg
                 )));
             }
+            if g.synced >= epoch {
+                return Ok(());
+            }
             if !g.leader {
                 g.leader = true;
                 drop(g);
-                let result = {
-                    let mut store = self.store.lock().unwrap();
-                    let cover = self.state.lock().unwrap().appended;
-                    store.sync().map(|()| cover).map_err(|e| (cover, e))
-                };
+                let mut store = self.store.lock().unwrap();
+                let result = store.sync();
                 g = self.state.lock().unwrap();
+                // Publish the store's verdicts under its lock, so no later
+                // failure can slip between the sync and the copy. They
+                // also cover syncs and failures outside any flush (a
+                // rotation, a checkpoint's seal): after this every record
+                // appended so far is either synced or voided.
+                g.synced = store.synced();
+                let known = g.voided.len();
+                g.voided.extend_from_slice(&store.voided()[known..]);
+                drop(store);
                 g.leader = false;
                 match result {
-                    Ok(cover) => {
-                        g.synced = g.synced.max(cover);
+                    Ok(()) => {
                         self.syncs.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err((cover, err)) => {
-                        g.failed = g.failed.max(cover);
-                        g.failed_msg = err.to_string();
-                    }
+                    Err(err) => g.failed_msg = err.to_string(),
                 }
                 self.cv.notify_all();
             } else {
@@ -161,6 +174,11 @@ impl GroupCommit {
     pub fn commits(&self) -> u64 {
         self.commits.load(Ordering::Relaxed)
     }
+}
+
+/// Whether one of the `(lo, hi]` ranges holds `epoch` (never epoch 0).
+fn voided(ranges: &[(u64, u64)], epoch: u64) -> bool {
+    ranges.iter().any(|&(lo, hi)| lo < epoch && epoch <= hi)
 }
 
 #[cfg(test)]
@@ -198,7 +216,7 @@ mod tests {
     /// Commits `rec` the way a lone committer does: append, then wait on
     /// its own epoch.
     fn commit(gc: &GroupCommit, rec: &WalRecord) -> io::Result<()> {
-        let (_, epoch) = gc.append(rec)?;
+        let (_, epoch) = gc.append(rec, 0)?;
         gc.wait(epoch)
     }
 
@@ -265,7 +283,9 @@ mod tests {
         let dir = TempDir::new("one-wait");
         let gc = GroupCommit::new(Arc::new(Mutex::new(open_deferred(&dir))));
         const K: u64 = 16;
-        let epochs: Vec<u64> = (1..=K).map(|s| gc.append(&rec(0, s)).unwrap().1).collect();
+        let epochs: Vec<u64> = (1..=K)
+            .map(|s| gc.append(&rec(0, s), 0).unwrap().1)
+            .collect();
         assert_eq!(
             epochs,
             (1..=K).collect::<Vec<_>>(),
@@ -301,7 +321,7 @@ mod tests {
         .unwrap();
         let gc = GroupCommit::new(Arc::new(Mutex::new(store)));
         for s in 1..=4 {
-            gc.append(&rec(0, s)).unwrap();
+            gc.append(&rec(0, s), 0).unwrap();
         }
         assert!(gc.wait(4).is_err());
         for e in 1..=4 {
@@ -311,55 +331,22 @@ mod tests {
         assert_eq!(gc.syncs(), 0);
     }
 
-    /// A real file whose fsync fails while `fail` is set.
-    struct FlakySync {
-        inner: std::fs::File,
-        fail: Arc<AtomicBool>,
-    }
-
-    impl std::io::Write for FlakySync {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.inner.write(buf)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.inner.flush()
-        }
-    }
-
-    impl crate::store::StoreFile for FlakySync {
-        fn sync(&mut self) -> io::Result<()> {
-            if self.fail.load(Ordering::SeqCst) {
-                return Err(io::Error::other("injected fsync failure"));
-            }
-            self.inner.sync_data()
-        }
-    }
-
     #[test]
     fn an_epoch_appended_after_a_failed_flush_can_still_succeed() {
         let dir = TempDir::new("flush-recover");
         let fail = Arc::new(AtomicBool::new(false));
-        let factory_fail = Arc::clone(&fail);
         let (store, _) = Store::open(
             &dir,
             StoreOptions {
                 sync: SyncPolicy::Deferred,
-                file_factory: Box::new(move |path: &std::path::Path| {
-                    let inner = std::fs::OpenOptions::new()
-                        .create(true)
-                        .truncate(true)
-                        .write(true)
-                        .open(path)?;
-                    let fail = Arc::clone(&factory_fail);
-                    Ok(Box::new(FlakySync { inner, fail }) as Box<dyn crate::store::StoreFile>)
-                }),
+                file_factory: crate::fault::flaky_sync_factory(Arc::clone(&fail)),
                 ..StoreOptions::default()
             },
         )
         .unwrap();
         let gc = GroupCommit::new(Arc::new(Mutex::new(store)));
         for s in 1..=3 {
-            gc.append(&rec(0, s)).unwrap();
+            gc.append(&rec(0, s), 0).unwrap();
         }
         fail.store(true, Ordering::SeqCst);
         assert!(gc.wait(3).is_err());
@@ -368,9 +355,44 @@ mod tests {
             "every covered epoch fails"
         );
         fail.store(false, Ordering::SeqCst);
-        let (_, epoch) = gc.append(&rec(0, 4)).unwrap();
+        let (_, epoch) = gc.append(&rec(0, 4), 0).unwrap();
         assert_eq!(epoch, 4);
         gc.wait(epoch).unwrap();
         assert_eq!(gc.syncs(), 1);
+        // The failed records' bytes reached the file before the sync
+        // failed; the next append cut them, so only the acked one replays.
+        drop(gc);
+        let (_store, recovered) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.tail, vec![rec(0, 4)]);
+    }
+
+    #[test]
+    fn a_voided_epoch_fails_even_after_a_later_flush_succeeds() {
+        let dir = TempDir::new("late-waiter");
+        let fail = Arc::new(AtomicBool::new(false));
+        let (store, _) = Store::open(
+            &dir,
+            StoreOptions {
+                sync: SyncPolicy::Deferred,
+                file_factory: crate::fault::flaky_sync_factory(Arc::clone(&fail)),
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
+        let gc = GroupCommit::new(Arc::new(Mutex::new(store)));
+        // A committer appends and is slow to wait; another's flush covers
+        // its record and fails, and a third commits cleanly after that.
+        let (_, slow) = gc.append(&rec(0, 1), 0).unwrap();
+        fail.store(true, Ordering::SeqCst);
+        assert!(commit(&gc, &rec(1, 1)).is_err());
+        fail.store(false, Ordering::SeqCst);
+        commit(&gc, &rec(2, 1)).unwrap();
+        assert!(
+            gc.wait(slow).is_err(),
+            "the slow committer's record was discarded with the failed flush"
+        );
+        drop(gc);
+        let (_store, recovered) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.tail, vec![rec(2, 1)]);
     }
 }

@@ -46,7 +46,7 @@ pub mod state;
 pub mod store;
 
 pub use command::{PersistCommand, PersistSource, PersistSpec};
-pub use fault::{failing_factory, ByteBudget, FailingFile};
+pub use fault::{failing_factory, flaky_sync_factory, ByteBudget, FailingFile};
 pub use group::GroupCommit;
 pub use lease::Lease;
 pub use record::WalRecord;

@@ -47,7 +47,7 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,11 +75,20 @@ const LOCK_FILE: &str = "LOCK";
 pub trait StoreFile: Write + Send {
     /// Durably flushes written bytes (fsync / `fdatasync`).
     fn sync(&mut self) -> io::Result<()>;
+
+    /// Cuts the file back to `len` bytes and moves the write position
+    /// there: drops the tail a failed write or sync left behind.
+    fn truncate(&mut self, len: u64) -> io::Result<()>;
 }
 
 impl StoreFile for fs::File {
     fn sync(&mut self) -> io::Result<()> {
         self.sync_data()
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)?;
+        self.seek(SeekFrom::Start(len)).map(drop)
     }
 }
 
@@ -177,6 +186,18 @@ pub struct Store {
     /// Deferred-mode write buffer for the active segment; always empty
     /// under [`SyncPolicy::Always`] and after any `sync`/rotation.
     buf: Vec<u8>,
+    /// Active-segment length at its last successful sync: the bytes no
+    /// later failure can take away.
+    synced_len: u64,
+    /// Records appended (counting from 1) when the last sync succeeded.
+    synced: u64,
+    /// Set by a failed write or sync: the active segment may hold bytes
+    /// of discarded records past `synced_len`, so nothing is written
+    /// until [`Store::cut_torn_tail`] has cut them away.
+    torn: bool,
+    /// `(lo, hi]` ranges of appended records that a failed write or sync
+    /// discarded, oldest first (see [`Store::voided`]).
+    voided: Vec<(u64, u64)>,
     stats: StoreStats,
     /// Lease fence: `(my_epoch, cluster_epoch)`. When the shared cluster
     /// epoch moves past this store's granted epoch, appends and snapshot
@@ -367,6 +388,10 @@ impl Store {
             sealed,
             dirty: false,
             buf: Vec::new(),
+            synced_len: SEGMENT_MAGIC.len() as u64,
+            synced: 0,
+            torn: false,
+            voided: Vec::new(),
             stats,
             fence: None,
             _lock: lock,
@@ -411,20 +436,29 @@ impl Store {
     /// batch as failed would be a lie. A failed rotation simply leaves
     /// the current segment active (oversized) and is retried when the
     /// next append crosses the threshold again.
+    ///
+    /// A failed write or sync discards every record appended since the
+    /// last successful sync, and the next append or sync first cuts their
+    /// bytes from the segment. So a record whose writer was told it failed
+    /// can never replay ahead of a later one that reuses its sequence
+    /// number.
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
         self.check_fence()?;
+        self.cut_torn_tail()?;
         let frame = rec.encode_frame();
         match self.opts.sync {
-            SyncPolicy::Always => self.file.write_all(&frame)?,
+            SyncPolicy::Always => {
+                if let Err(err) = self.file.write_all(&frame) {
+                    self.void_unsynced();
+                    return Err(err);
+                }
+            }
             SyncPolicy::Deferred => {
                 // Buffer the frame; it reaches the file at the next flush
                 // threshold, explicit `sync`, rotation, or drop. The loss
                 // window is the same one Deferred already grants (un-synced
                 // page cache), just extended into user space.
                 self.buf.extend_from_slice(&frame);
-                if self.buf.len() >= WRITE_BUF_FLUSH {
-                    self.flush_buf()?;
-                }
             }
         }
         self.dirty = true;
@@ -434,6 +468,8 @@ impl Store {
         self.stats.bytes_since_checkpoint += frame.len() as u64;
         if self.opts.sync == SyncPolicy::Always {
             self.sync()?;
+        } else if self.buf.len() >= WRITE_BUF_FLUSH {
+            self.flush_buf()?;
         }
         if self.seg_bytes >= self.opts.segment_bytes {
             let _ = self.rotate();
@@ -442,13 +478,13 @@ impl Store {
     }
 
     /// Writes the deferred-mode buffer through to the active segment file.
-    /// A failed flush is a Deferred-mode loss event (the records were
-    /// acknowledged against the buffer): the error surfaces to the sync
-    /// driver, and recovery truncates whatever torn tail the partial
-    /// write left behind.
+    /// A failed write discards the unsynced records like a failed sync.
     fn flush_buf(&mut self) -> io::Result<()> {
         if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
+            if let Err(err) = self.file.write_all(&self.buf) {
+                self.void_unsynced();
+                return Err(err);
+            }
             self.buf.clear();
         }
         Ok(())
@@ -456,12 +492,63 @@ impl Store {
 
     /// Durably flushes any unsynced appends (interval-sync driver).
     pub fn sync(&mut self) -> io::Result<()> {
+        self.cut_torn_tail()?;
         self.flush_buf()?;
         if self.dirty {
-            self.file.sync()?;
+            if let Err(err) = self.file.sync() {
+                self.void_unsynced();
+                return Err(err);
+            }
             self.dirty = false;
         }
+        self.synced = self.stats.appends;
+        self.synced_len = self.seg_bytes;
         Ok(())
+    }
+
+    /// Discards every record appended since the last successful sync:
+    /// after a failed write or sync some of their bytes may be in the file
+    /// and some not, so none of them may count as logged. Records the
+    /// range in [`Store::voided`] and leaves the tail for
+    /// [`Store::cut_torn_tail`].
+    fn void_unsynced(&mut self) {
+        let lo = self
+            .voided
+            .last()
+            .map_or(self.synced, |&(_, hi)| hi.max(self.synced));
+        if self.stats.appends > lo {
+            self.voided.push((lo, self.stats.appends));
+        }
+        self.buf.clear();
+        self.dirty = false;
+        self.torn = true;
+    }
+
+    /// After a failed write or sync, cuts the active segment back to its
+    /// last synced length and syncs the cut, so discarded records cannot
+    /// replay. Until that succeeds, every append and sync fails.
+    fn cut_torn_tail(&mut self) -> io::Result<()> {
+        if self.torn {
+            self.file.truncate(self.synced_len)?;
+            self.file.sync()?;
+            self.seg_bytes = self.synced_len;
+            self.torn = false;
+        }
+        Ok(())
+    }
+
+    /// Record ranges `(lo, hi]` — counting appends from 1, as
+    /// [`StoreStats::appends`] does — that a failed write or sync
+    /// discarded, oldest first. A record in none of them and at or below
+    /// [`Store::synced`] is durable. Only a failure adds a range.
+    pub(crate) fn voided(&self) -> &[(u64, u64)] {
+        &self.voided
+    }
+
+    /// The append count when a sync last succeeded, whoever ran it (an
+    /// explicit sync, a rotation, a checkpoint's seal).
+    pub(crate) fn synced(&self) -> u64 {
+        self.synced
     }
 
     /// Seals the active segment and opens its successor. The successor is
@@ -492,6 +579,7 @@ impl Store {
         self.file = file;
         self.dirty = true;
         self.seg_bytes = SEGMENT_MAGIC.len() as u64;
+        self.synced_len = self.seg_bytes;
         self.stats.segments += 1;
         Ok(())
     }
