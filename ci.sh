@@ -68,13 +68,15 @@ echo "==> recovery fault-injection matrix (crash at every WAL byte offset)"
 # commit against the rollback-free oracle, and the core savepoint suite
 # the journal savepoints stacking runs on. Also re-runs the persist
 # store/fault suites at -O to catch release-only ordering bugs in the
-# recovery path.
+# recovery path, and the wire codec suite (its corruption and truncation
+# sweeps decode the same command encoding the log holds).
 cargo test --release --offline -p stem-engine --test crash_matrix -q
 cargo test --release --offline -p stem-engine --test group_commit -q
 cargo test --release --offline -p stem-engine --test differential -q
 cargo test --release --offline -p stem-engine --test persist -q
 cargo test --release --offline -p stem-core --test savepoint -q
 cargo test --release --offline -p stem-persist -q
+cargo test --release --offline -p stem-server --test proto -q
 # Kill-leader/promote-follower leg: byte-identical leader/follower state
 # across 25 seeded workloads (in-process shipping), then the same fleet
 # choreography over real loopback TCP through stem-server.

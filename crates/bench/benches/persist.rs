@@ -6,9 +6,7 @@ use stem_bench::harness::{BenchmarkId, Criterion};
 use stem_bench::{criterion_group, criterion_main};
 use stem_core::{Value, VarId};
 use stem_engine::{Command, DurabilityOptions, Engine, EngineConfig, SessionId, Source};
-use stem_persist::{
-    PersistCommand, PersistSource, Snapshot, Store, StoreOptions, SyncPolicy, WalRecord,
-};
+use stem_persist::{Snapshot, Store, StoreOptions, SyncPolicy, WalRecord};
 use stem_testkit::TempDir;
 
 fn sample_record(seq: u64) -> WalRecord {
@@ -17,15 +15,15 @@ fn sample_record(seq: u64) -> WalRecord {
         seq,
         key: 0,
         commands: vec![
-            PersistCommand::Set {
+            Command::Set {
                 var: VarId::from_index(0),
                 value: Value::Int(seq as i64),
-                source: PersistSource::User,
+                source: Source::User,
             },
-            PersistCommand::Set {
+            Command::Set {
                 var: VarId::from_index(1),
                 value: Value::Int(-(seq as i64)),
-                source: PersistSource::Application,
+                source: Source::Application,
             },
         ],
     }

@@ -1,12 +1,14 @@
-//! The wire-level batch vocabulary: commands sent into a session, outputs
-//! and errors coming back.
+//! The engine's side of the batch vocabulary: building constraint kinds
+//! from their specs, and the outputs and errors coming back. The commands
+//! themselves ([`Command`](crate::Command), [`ConstraintSpec`],
+//! [`Source`](crate::Source)) are declared once in `stem-persist`, which
+//! also owns their byte encoding, and are re-exported at this crate's
+//! root.
 //!
-//! Everything here is `Send`: commands cross the thread boundary into the
-//! worker that owns the session's [`Network`]. Constraint behaviour is
-//! described by a [`ConstraintSpec`] (a `Send` description) and only
-//! materialised into an `Rc<dyn ConstraintKind>` inside the owning worker,
-//! because networks — and the kinds they share — are deliberately
-//! single-threaded.
+//! A [`ConstraintSpec`] is a `Send` description; it becomes an
+//! `Rc<dyn ConstraintKind>` only inside the worker that owns the target
+//! [`Network`](stem_core::Network), because networks — and the kinds they
+//! share — are deliberately single-threaded.
 
 use std::fmt;
 use std::rc::Rc;
@@ -16,74 +18,7 @@ use stem_core::kinds::{
     PredOp, Predicate,
 };
 use stem_core::{ConstraintId, ConstraintKind, Justification, Value, VarId, View, Violation};
-
-/// Factory producing a constraint kind inside the worker thread that owns
-/// the target network. The closure must be `Send`; the kind it builds need
-/// not be.
-pub type KindFactory = Box<dyn Fn() -> Rc<dyn ConstraintKind> + Send>;
-
-/// A `Send` description of a constraint to install, materialised
-/// worker-side. The closed variants cover the built-in kinds; arbitrary
-/// kinds travel as a [`KindFactory`].
-pub enum ConstraintSpec {
-    /// All arguments equal ([`Equality`]).
-    Equality,
-    /// Last argument = sum of the others ([`Functional`] `Sum`).
-    Sum,
-    /// Last argument = max of the others.
-    Max,
-    /// Last argument = min of the others.
-    Min,
-    /// Last argument = product of the others.
-    Product,
-    /// Last argument = `gain * first + offset`.
-    Scale {
-        /// Multiplier.
-        gain: f64,
-        /// Addend.
-        offset: f64,
-    },
-    /// Check-only predicate: every argument ≤ the bound.
-    LeConst(Value),
-    /// Check-only predicate: every argument ≥ the bound.
-    GeConst(Value),
-    /// Check-only predicate: every argument = the constant.
-    EqConst(Value),
-    /// Check-only predicate: `args[0] ≤ args[1]`.
-    Le,
-    /// Check-only predicate: `args[0] < args[1]`.
-    Lt,
-    /// Bounds-consistent domain relation `v0(x) + v1(y) = v2(z)` over
-    /// affine views `(a, b) ↦ a·x + b` ([`DomAdd`]); `out == None`
-    /// propagates all three ways, `Some(i)` only narrows argument `i`.
-    DomAdd {
-        /// Per-argument affine views `(a, b)`; `a == 0` is sanitised to 1.
-        views: [(i64, i64); 3],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// Bounds-consistent domain relation `v0(x) ≤ v1(y) + c` ([`DomLe`]).
-    DomLe {
-        /// The offset `c`.
-        c: i64,
-        /// Per-argument affine views `(a, b)`; `a == 0` is sanitised to 1.
-        views: [(i64, i64); 2],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// All arguments pairwise distinct ([`AllDiff`], bounds reasoning).
-    DomAllDiff,
-    /// Reified inequality `args[0] ⇔ (v0(args[1]) ≤ v1(args[2]) + c)`
-    /// ([`DomReifLe`]).
-    DomReifLe {
-        /// The offset `c`.
-        c: i64,
-        /// Affine views over `args[1]`/`args[2]`.
-        views: [(i64, i64); 2],
-    },
-    /// Any other kind, built worker-side by the factory.
-    Custom(KindFactory),
-}
+use stem_persist::ConstraintSpec;
 
 /// Converts wire-level view pairs into [`View`]s, sanitising the (never
 /// legitimately produced, but representable in corrupt or hostile bytes)
@@ -92,186 +27,36 @@ fn views<const N: usize>(pairs: &[(i64, i64); N]) -> [View; N] {
     pairs.map(|(a, b)| View::new(if a == 0 { 1 } else { a }, b))
 }
 
-impl ConstraintSpec {
-    /// Materialises the kind. Runs in the worker that owns the session.
-    pub(crate) fn build(&self) -> Rc<dyn ConstraintKind> {
-        match self {
-            ConstraintSpec::Equality => Rc::new(Equality::new()),
-            ConstraintSpec::Sum => Rc::new(Functional::new(FunctionalOp::Sum)),
-            ConstraintSpec::Max => Rc::new(Functional::new(FunctionalOp::Max)),
-            ConstraintSpec::Min => Rc::new(Functional::new(FunctionalOp::Min)),
-            ConstraintSpec::Product => Rc::new(Functional::new(FunctionalOp::Product)),
-            ConstraintSpec::Scale { gain, offset } => {
-                Rc::new(Functional::new(FunctionalOp::Scale {
-                    gain: *gain,
-                    offset: *offset,
-                }))
-            }
-            ConstraintSpec::LeConst(v) => Rc::new(Predicate::new(PredOp::LeConst(v.clone()))),
-            ConstraintSpec::GeConst(v) => Rc::new(Predicate::new(PredOp::GeConst(v.clone()))),
-            ConstraintSpec::EqConst(v) => Rc::new(Predicate::new(PredOp::EqConst(v.clone()))),
-            ConstraintSpec::Le => Rc::new(Predicate::new(PredOp::Le)),
-            ConstraintSpec::Lt => Rc::new(Predicate::new(PredOp::Lt)),
-            ConstraintSpec::DomAdd { views: v, out } => Rc::new(DomainConstraint::new(match out {
-                Some(o) => DomAdd::with_views(views(v), usize::from(*o)),
-                None => DomAdd::all_views(views(v)),
-            })),
-            ConstraintSpec::DomLe { c, views: v, out } => Rc::new(DomainConstraint::new(
-                DomLe::with_views(*c, views(v), out.map(usize::from)),
-            )),
-            ConstraintSpec::DomAllDiff => Rc::new(DomainConstraint::new(AllDiff::new())),
-            ConstraintSpec::DomReifLe { c, views: v } => {
-                Rc::new(DomainConstraint::new(DomReifLe::with_views(*c, views(v))))
-            }
-            ConstraintSpec::Custom(f) => f(),
+/// Materialises a spec's kind. Runs in the worker that owns the session,
+/// on a spec `validate` has checked against its arguments.
+pub(crate) fn build_kind(spec: &ConstraintSpec) -> Rc<dyn ConstraintKind> {
+    match spec {
+        ConstraintSpec::Equality => Rc::new(Equality::new()),
+        ConstraintSpec::Sum => Rc::new(Functional::new(FunctionalOp::Sum)),
+        ConstraintSpec::Max => Rc::new(Functional::new(FunctionalOp::Max)),
+        ConstraintSpec::Min => Rc::new(Functional::new(FunctionalOp::Min)),
+        ConstraintSpec::Product => Rc::new(Functional::new(FunctionalOp::Product)),
+        ConstraintSpec::Scale { gain, offset } => Rc::new(Functional::new(FunctionalOp::Scale {
+            gain: *gain,
+            offset: *offset,
+        })),
+        ConstraintSpec::LeConst(v) => Rc::new(Predicate::new(PredOp::LeConst(v.clone()))),
+        ConstraintSpec::GeConst(v) => Rc::new(Predicate::new(PredOp::GeConst(v.clone()))),
+        ConstraintSpec::EqConst(v) => Rc::new(Predicate::new(PredOp::EqConst(v.clone()))),
+        ConstraintSpec::Le => Rc::new(Predicate::new(PredOp::Le)),
+        ConstraintSpec::Lt => Rc::new(Predicate::new(PredOp::Lt)),
+        ConstraintSpec::DomAdd { views: v, out } => Rc::new(DomainConstraint::new(match out {
+            Some(o) => DomAdd::with_views(views(v), usize::from(*o)),
+            None => DomAdd::all_views(views(v)),
+        })),
+        ConstraintSpec::DomLe { c, views: v, out } => Rc::new(DomainConstraint::new(
+            DomLe::with_views(*c, views(v), out.map(usize::from)),
+        )),
+        ConstraintSpec::DomAllDiff => Rc::new(DomainConstraint::new(AllDiff::new())),
+        ConstraintSpec::DomReifLe { c, views: v } => {
+            Rc::new(DomainConstraint::new(DomReifLe::with_views(*c, views(v))))
         }
-    }
-}
-
-impl fmt::Debug for ConstraintSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConstraintSpec::Equality => write!(f, "Equality"),
-            ConstraintSpec::Sum => write!(f, "Sum"),
-            ConstraintSpec::Max => write!(f, "Max"),
-            ConstraintSpec::Min => write!(f, "Min"),
-            ConstraintSpec::Product => write!(f, "Product"),
-            ConstraintSpec::Scale { gain, offset } => write!(f, "Scale({gain}, {offset})"),
-            ConstraintSpec::LeConst(v) => write!(f, "LeConst({v})"),
-            ConstraintSpec::GeConst(v) => write!(f, "GeConst({v})"),
-            ConstraintSpec::EqConst(v) => write!(f, "EqConst({v})"),
-            ConstraintSpec::Le => write!(f, "Le"),
-            ConstraintSpec::Lt => write!(f, "Lt"),
-            ConstraintSpec::DomAdd { views, out } => write!(f, "DomAdd({views:?}, {out:?})"),
-            ConstraintSpec::DomLe { c, views, out } => {
-                write!(f, "DomLe({c}, {views:?}, {out:?})")
-            }
-            ConstraintSpec::DomAllDiff => write!(f, "DomAllDiff"),
-            ConstraintSpec::DomReifLe { c, views } => write!(f, "DomReifLe({c}, {views:?})"),
-            ConstraintSpec::Custom(_) => write!(f, "Custom(..)"),
-        }
-    }
-}
-
-/// External provenance of a batched assignment — the subset of
-/// [`Justification`] clients may claim. `Propagated`/`Tentative` records
-/// are reserved to the propagation engine itself (a forged record would
-/// corrupt dependency analysis), so they are unrepresentable here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Source {
-    /// A direct designer edit (`#USER`).
-    #[default]
-    User,
-    /// A tool/application computation (`#APPLICATION`).
-    Application,
-    /// Consistency-maintenance refresh (`#UPDATE`).
-    Update,
-    /// A class-definition default.
-    DefaultValue,
-}
-
-impl From<Source> for Justification {
-    fn from(s: Source) -> Justification {
-        match s {
-            Source::User => Justification::User,
-            Source::Application => Justification::Application,
-            Source::Update => Justification::Update,
-            Source::DefaultValue => Justification::DefaultValue,
-        }
-    }
-}
-
-/// One operation inside a transactional batch.
-///
-/// Commands referring to variables or constraints may also reference ids
-/// created *earlier in the same batch*: ids are allocated sequentially, so
-/// a client that knows the session's current `n_variables` can predict
-/// them and build create-and-initialise batches that commit atomically.
-#[derive(Debug)]
-pub enum Command {
-    /// Adds a plain variable; replies [`Output::Var`].
-    AddVariable {
-        /// Display name.
-        name: String,
-    },
-    /// Assigns a value with full propagation; replies [`Output::Unit`].
-    Set {
-        /// Target variable.
-        var: VarId,
-        /// New value.
-        value: Value,
-        /// Claimed provenance.
-        source: Source,
-    },
-    /// Erases a variable to `Nil`/unset without propagation; replies
-    /// [`Output::Unit`].
-    Unset {
-        /// Target variable.
-        var: VarId,
-    },
-    /// Tentative validity probe (`canBeSetTo:`); never mutates; replies
-    /// [`Output::Feasible`].
-    Probe {
-        /// Target variable.
-        var: VarId,
-        /// Probed value.
-        value: Value,
-    },
-    /// Reads a value; replies [`Output::Value`].
-    Get {
-        /// Target variable.
-        var: VarId,
-    },
-    /// Installs a constraint over `args` (re-initialising propagation);
-    /// replies [`Output::Constraint`].
-    AddConstraint {
-        /// What the constraint does.
-        spec: ConstraintSpec,
-        /// Its argument variables.
-        args: Vec<VarId>,
-    },
-    /// Removes a constraint, erasing values it justified; replies
-    /// [`Output::Unit`].
-    RemoveConstraint {
-        /// Target constraint.
-        constraint: ConstraintId,
-    },
-    /// Enables or disables one constraint; replies [`Output::Unit`].
-    EnableConstraint {
-        /// Target constraint.
-        constraint: ConstraintId,
-        /// New enabled state.
-        enabled: bool,
-    },
-    /// Enables/disables every constraint of a kind; replies
-    /// [`Output::Count`] of toggles.
-    SetKindEnabled {
-        /// Kind label, e.g. `"equality"`.
-        kind_name: String,
-        /// New enabled state.
-        enabled: bool,
-    },
-    /// Relaxes/tightens the per-cycle value-change rule (≥ 1); replies
-    /// [`Output::Unit`].
-    SetValueChangeLimit {
-        /// New limit.
-        limit: u32,
-    },
-    /// Dumps `(name, value, justification)` for every variable; replies
-    /// [`Output::Dump`]. Allowed on quarantined sessions.
-    DumpValues,
-    /// Sweeps all constraints for violations; replies
-    /// [`Output::Violations`]. Allowed on quarantined sessions.
-    CheckAll,
-}
-
-impl Command {
-    /// Whether the command can change session state at all.
-    pub fn is_mutating(&self) -> bool {
-        !matches!(
-            self,
-            Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll
-        )
+        ConstraintSpec::Custom(f) => f.build(),
     }
 }
 
@@ -280,19 +65,19 @@ impl Command {
 pub enum Output {
     /// Command completed with nothing to report.
     Unit,
-    /// Id of a variable created by [`Command::AddVariable`].
+    /// Id of a variable created by [`Command::AddVariable`](crate::Command::AddVariable).
     Var(VarId),
-    /// Id of a constraint created by [`Command::AddConstraint`].
+    /// Id of a constraint created by [`Command::AddConstraint`](crate::Command::AddConstraint).
     Constraint(ConstraintId),
-    /// Value read by [`Command::Get`].
+    /// Value read by [`Command::Get`](crate::Command::Get).
     Value(Value),
-    /// Probe verdict from [`Command::Probe`].
+    /// Probe verdict from [`Command::Probe`](crate::Command::Probe).
     Feasible(bool),
-    /// Count reported by [`Command::SetKindEnabled`].
+    /// Count reported by [`Command::SetKindEnabled`](crate::Command::SetKindEnabled).
     Count(usize),
-    /// Full value dump from [`Command::DumpValues`].
+    /// Full value dump from [`Command::DumpValues`](crate::Command::DumpValues).
     Dump(Vec<(String, Value, Justification)>),
-    /// Violation sweep from [`Command::CheckAll`].
+    /// Violation sweep from [`Command::CheckAll`](crate::Command::CheckAll).
     Violations(Vec<Violation>),
 }
 

@@ -14,11 +14,11 @@ use std::time::{Duration, Instant};
 
 use stem_core::{JournalMark, Network, ParStats, Stats};
 use stem_persist::{
-    decode_segment, GroupCommit, PersistCommand, PersistSpec, SessionState, Snapshot, Store,
+    decode_segment, Command, ConstraintSpec, GroupCommit, SessionState, Snapshot, Store,
     StoreOptions, SyncPolicy, WalRecord,
 };
 
-use crate::command::{BatchError, BatchOutcome, Command, ConstraintSpec, Output};
+use crate::command::{build_kind, BatchError, BatchOutcome, Output};
 use crate::persist::{self, Durability, DurabilityOptions, RecoveredSession, RecoveryPlan};
 use crate::stats::{Counters, EngineStats, SessionStats};
 
@@ -505,9 +505,25 @@ impl Engine {
         (session.0 % self.senders.len() as u64) as usize
     }
 
-    fn note_enqueue(&self, shard: usize) {
+    /// The one way a job enters a worker's queue: counts it into the
+    /// shard's depth, sends it — blocking while the queue is full, or with
+    /// `block == false` failing fast — and uncounts it if the send fails.
+    /// A refused job comes back in the error; dropping it drops its reply
+    /// sender, so the caller's receiver reports the worker gone.
+    fn enqueue(&self, shard: usize, job: Job, block: bool) -> Result<(), TrySendError<Job>> {
         let depth = self.depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
         self.counters.observe_queue_depth(depth as u64);
+        let sent = if block {
+            self.senders[shard]
+                .send(job)
+                .map_err(|e| TrySendError::Disconnected(e.0))
+        } else {
+            self.senders[shard].try_send(job)
+        };
+        if sent.is_err() {
+            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
+        }
+        sent
     }
 
     /// Enqueues a batch, blocking while the worker's queue is full
@@ -530,20 +546,17 @@ impl Engine {
         commands: Vec<Command>,
         key: u64,
     ) -> BatchTicket {
-        let shard = self.shard(session);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.note_enqueue(shard);
+        let (reply, rx) = mpsc::channel();
         let job = Job::Batch {
             session,
             commands,
             key,
-            reply: reply_tx,
+            reply,
             enqueued: Instant::now(),
         };
-        if self.senders[shard].send(job).is_err() {
-            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-        }
-        BatchTicket { reply: reply_rx }
+        // A refused job drops its reply sender: `wait` reports `Shutdown`.
+        let _ = self.enqueue(self.shard(session), job, true);
+        BatchTicket { reply: rx }
     }
 
     /// Enqueues a batch without blocking; a full queue returns
@@ -564,30 +577,23 @@ impl Engine {
         commands: Vec<Command>,
         key: u64,
     ) -> Result<BatchTicket, BatchError> {
-        let shard = self.shard(session);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.note_enqueue(shard);
+        let (reply, rx) = mpsc::channel();
         let job = Job::Batch {
             session,
             commands,
             key,
-            reply: reply_tx,
+            reply,
             enqueued: Instant::now(),
         };
-        match self.senders[shard].try_send(job) {
-            Ok(()) => Ok(BatchTicket { reply: reply_rx }),
-            Err(err) => {
-                self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-                match err {
-                    TrySendError::Full(_) => {
-                        self.counters
-                            .backpressure_rejections
-                            .fetch_add(1, Ordering::Relaxed);
-                        Err(BatchError::Backpressure)
-                    }
-                    TrySendError::Disconnected(_) => Err(BatchError::Shutdown),
-                }
+        match self.enqueue(self.shard(session), job, false) {
+            Ok(()) => Ok(BatchTicket { reply: rx }),
+            Err(TrySendError::Full(_)) => {
+                self.counters
+                    .backpressure_rejections
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(BatchError::Backpressure)
             }
+            Err(TrySendError::Disconnected(_)) => Err(BatchError::Shutdown),
         }
     }
 
@@ -605,48 +611,36 @@ impl Engine {
     /// a batch). Travels the session's queue, so it also observes ordering
     /// with in-flight batches.
     pub fn session_stats(&self, session: SessionId) -> SessionStats {
-        let shard = self.shard(session);
-        let (tx, rx) = mpsc::channel();
-        self.note_enqueue(shard);
-        if self.senders[shard]
-            .send(Job::SessionStats { session, reply: tx })
-            .is_err()
-        {
-            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-            return SessionStats::default();
-        }
+        let (reply, rx) = mpsc::channel();
+        let _ = self.enqueue(
+            self.shard(session),
+            Job::SessionStats { session, reply },
+            true,
+        );
         rx.recv().unwrap_or_default()
     }
 
     /// Lifts a session's quarantine, re-admitting mutating batches.
     /// Returns whether the session was quarantined.
     pub fn lift_quarantine(&self, session: SessionId) -> bool {
-        let shard = self.shard(session);
-        let (tx, rx) = mpsc::channel();
-        self.note_enqueue(shard);
-        if self.senders[shard]
-            .send(Job::LiftQuarantine { session, reply: tx })
-            .is_err()
-        {
-            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
+        let (reply, rx) = mpsc::channel();
+        let _ = self.enqueue(
+            self.shard(session),
+            Job::LiftQuarantine { session, reply },
+            true,
+        );
         rx.recv().unwrap_or(false)
     }
 
     /// Drops a session's network and counters. Returns whether the session
     /// existed. The id is retired, not recycled.
     pub fn close_session(&self, session: SessionId) -> bool {
-        let shard = self.shard(session);
-        let (tx, rx) = mpsc::channel();
-        self.note_enqueue(shard);
-        if self.senders[shard]
-            .send(Job::CloseSession { session, reply: tx })
-            .is_err()
-        {
-            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
+        let (reply, rx) = mpsc::channel();
+        let _ = self.enqueue(
+            self.shard(session),
+            Job::CloseSession { session, reply },
+            true,
+        );
         rx.recv().unwrap_or(false)
     }
 
@@ -827,14 +821,13 @@ impl Engine {
             if sessions.is_empty() && closed.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.note_enqueue(ix);
-            self.senders[ix]
-                .send(Job::Install {
-                    sessions,
-                    closed,
-                    reply: tx,
-                })
+            let (reply, rx) = mpsc::channel();
+            let job = Job::Install {
+                sessions,
+                closed,
+                reply,
+            };
+            self.enqueue(ix, job, true)
                 .map_err(|_| io::Error::other("engine is shutting down"))?;
             replies.push(rx);
         }
@@ -876,10 +869,8 @@ impl Engine {
             if records.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.note_enqueue(ix);
-            self.senders[ix]
-                .send(Job::Replay { records, reply: tx })
+            let (reply, rx) = mpsc::channel();
+            self.enqueue(ix, Job::Replay { records, reply }, true)
                 .map_err(|_| io::Error::other("engine is shutting down"))?;
             replies.push(rx);
         }
@@ -1161,7 +1152,7 @@ struct Session {
     /// Spec shadow of the constraint arena: `specs[i]` is slot `i`'s
     /// replayable description, `None` for tombstones. Maintained only on
     /// durable engines (empty otherwise).
-    specs: Vec<Option<PersistSpec>>,
+    specs: Vec<Option<ConstraintSpec>>,
 }
 
 struct Worker {
@@ -1212,18 +1203,12 @@ impl Worker {
         net.set_parallel_threads(self.propagation_threads);
         let mut applied = 0u64;
         for batch in &rs.tail {
-            let commands: Vec<Command> = batch
-                .iter()
-                .cloned()
-                .map(persist::command_from_persist)
-                .collect();
             // Committed batches replay cleanly against the state they
             // committed on; a failure means corruption the checksums
-            // could not see — keep the prefix that did replay.
-            if validate(&net, &commands, false).is_err() {
-                break;
-            }
-            if apply_all(&mut net, commands).is_err() {
+            // could not see — keep the prefix that did replay. The spec
+            // shadow follows only a batch that replayed, so the batch is
+            // applied from a clone.
+            if !replay_batch(&mut net, batch.clone()) {
                 break;
             }
             persist::absorb_committed(&mut specs, batch);
@@ -1258,7 +1243,7 @@ impl Worker {
 
     /// Replays this worker's share of a shipped segment. The records are
     /// the same committed batches crash recovery replays, and the same
-    /// machinery applies them (validate + `apply_all`); per-session
+    /// helper applies them ([`replay_batch`]); per-session
     /// sequence numbers deduplicate overlap with the snapshot bootstrap
     /// or re-shipped segments. A gap or a replay failure is an anomaly:
     /// the session is quarantined, exactly like an anomalous recovery.
@@ -1301,13 +1286,7 @@ impl Worker {
                         }
                         continue;
                     }
-                    let cmds: Vec<Command> = commands
-                        .into_iter()
-                        .map(persist::command_from_persist)
-                        .collect();
-                    let ok = validate(&sess.net, &cmds, false).is_ok()
-                        && apply_all(&mut sess.net, cmds).is_ok();
-                    if ok {
+                    if replay_batch(&mut sess.net, commands) {
                         sess.seq = seq;
                         sess.dedup = sess.dedup.max(key);
                         sess.stats.batches += 1;
@@ -1505,18 +1484,18 @@ impl Worker {
             return Executed::Failed(id, err);
         }
 
-        // The loggable mirror is built before `apply_all` consumes the
-        // commands; read-only batches log nothing. Validation already
-        // rejected unpersistable (custom-kind) commands.
-        let to_log: Option<Vec<PersistCommand>> =
-            if logging && commands.iter().any(Command::is_mutating) {
-                Some(
-                    persist::commands_to_persist(&commands)
-                        .expect("validated: no custom kinds on a durable engine"),
-                )
-            } else {
-                None
-            };
+        // The record's commands are cloned before `apply_all` consumes
+        // the batch; read-only commands are not logged, and a read-only
+        // batch logs nothing. Validation already rejected custom kinds,
+        // which have no byte encoding.
+        let to_log: Option<Vec<Command>> = (logging && commands.iter().any(Command::is_mutating))
+            .then(|| {
+                commands
+                    .iter()
+                    .filter(|c| c.is_mutating())
+                    .cloned()
+                    .collect()
+            });
 
         let before = (sess.net.stats(), sess.net.par_stats());
         // The network records pre-images and structural undo entries as
@@ -1835,7 +1814,7 @@ type Reply = mpsc::Sender<Result<BatchOutcome, BatchError>>;
 
 /// A batch's appended record.
 struct Logged {
-    commands: Vec<PersistCommand>,
+    commands: Vec<Command>,
     /// Frame size in bytes.
     bytes: u64,
     /// Group-commit epoch a flush must cover before the batch commits; 0
@@ -1909,10 +1888,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Pre-flight validation: every referenced id must exist, counting ids the
-/// batch itself will allocate before the referencing command runs. Runs
-/// before any command executes, so an invalid batch is a no-op. With
-/// `durable`, commands that cannot be persisted (custom constraint kinds)
-/// are rejected too — everything that reaches the log must replay.
+/// batch itself will allocate before the referencing command runs, and
+/// every constraint spec must fit its arguments
+/// ([`ConstraintSpec::check_args`]). Runs before any command executes, so
+/// an invalid batch is a no-op; submits, crash recovery and replica ingest
+/// all run it. With `durable`, commands that cannot be persisted (custom
+/// constraint kinds) are rejected too — everything that reaches the log
+/// must replay.
 fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), BatchError> {
     let mut n_vars = net.n_variables();
     let mut n_cons = net.n_constraint_slots();
@@ -1940,6 +1922,8 @@ fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), Ba
                         return Err(invalid(ix, format!("unknown argument {arg}")));
                     }
                 }
+                spec.check_args(args.len())
+                    .map_err(|reason| invalid(ix, reason))?;
                 n_cons += 1;
             }
             Command::RemoveConstraint { constraint }
@@ -1960,6 +1944,14 @@ fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), Ba
 }
 
 type CommandFailure = (usize, stem_core::Violation);
+
+/// Validates and applies one logged batch: crash recovery and replica
+/// ingest both replay through here. `false` means the batch did not
+/// replay — corruption the checksums could not see, or a shipped stream
+/// that diverged from the leader's history.
+fn replay_batch(net: &mut Network, commands: Vec<Command>) -> bool {
+    validate(net, &commands, false).is_ok() && apply_all(net, commands).is_ok()
+}
 
 /// Applies a batch in order, consuming the commands: payloads (`Value`s,
 /// names, argument vectors) move into the network instead of being cloned
@@ -1989,7 +1981,7 @@ fn apply_one(net: &mut Network, cmd: Command) -> Result<Output, stem_core::Viola
         // value shape but `List` (see the cheap-clone contract on `Value`).
         Command::Get { var } => Output::Value(net.value(var).clone()),
         Command::AddConstraint { spec, args } => {
-            Output::Constraint(net.add_constraint_rc(spec.build(), args)?)
+            Output::Constraint(net.add_constraint_rc(build_kind(&spec), args)?)
         }
         Command::RemoveConstraint { constraint } => {
             net.remove_constraint(constraint);

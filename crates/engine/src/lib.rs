@@ -53,7 +53,10 @@ mod engine;
 mod persist;
 mod stats;
 
-pub use command::{BatchError, BatchOutcome, Command, ConstraintSpec, KindFactory, Output, Source};
+pub use command::{BatchError, BatchOutcome, Output};
 pub use engine::{BatchTicket, Engine, EngineConfig, ReplayReport, SessionId};
 pub use persist::{Durability, DurabilityOptions};
 pub use stats::{EngineStats, SessionStats, LATENCY_BUCKET_BOUNDS_US, N_LATENCY_BUCKETS};
+// The batch vocabulary is declared once, in `stem-persist`, which owns its
+// byte encoding; the engine, the wire, the log and replicas share it.
+pub use stem_persist::{Command, ConstraintSpec, KindFactory, Source};

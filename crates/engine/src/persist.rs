@@ -1,19 +1,18 @@
 //! Durability wiring between the engine and `stem-persist`: the public
-//! durability knobs ([`Durability`], [`DurabilityOptions`]), conversions
-//! between the engine's batch vocabulary and the persisted mirror,
-//! checkpoint state gathering, network restoration, and recovery planning
-//! over a reopened store.
+//! durability knobs ([`Durability`], [`DurabilityOptions`]), checkpoint
+//! state gathering, network restoration, and recovery planning over a
+//! reopened store. The log holds the engine's own [`Command`]s: the batch
+//! vocabulary is declared once, in `stem-persist`.
 //!
 //! The contract with the worker loop (`engine.rs`):
 //!
-//! - every committed mutating batch is converted with
-//!   [`commands_to_persist`] *before* it is applied (applying consumes the
-//!   commands), appended as one `WalRecord::Batch` after the batch
-//!   succeeds, and only then acknowledged;
-//! - each durable session carries a *spec shadow* — `specs[i]` mirrors
-//!   constraint slot `i` with its replayable [`PersistSpec`] (`None` for
-//!   tombstones) — folded forward by [`absorb_committed`] so a checkpoint
-//!   can serialise the constraint arena without reflecting on kinds;
+//! - a batch's mutating commands are cloned *before* it is applied
+//!   (applying consumes the commands), appended as one `WalRecord::Batch`
+//!   after the batch succeeds, and only then acknowledged;
+//! - each durable session carries a *spec shadow* — `specs[i]` is
+//!   constraint slot `i`'s [`ConstraintSpec`] (`None` for tombstones) —
+//!   folded forward by [`absorb_committed`] so a checkpoint can serialise
+//!   the constraint arena without reflecting on kinds;
 //! - at open, [`plan_recovery`] turns the store's snapshot + log tail into
 //!   per-session rebuild scripts that [`restore_network`] executes inside
 //!   the owning worker.
@@ -24,11 +23,10 @@ use std::time::Duration;
 
 use stem_core::{ConstraintId, Justification, Network, Value, VarId};
 use stem_persist::{
-    FileFactory, PersistCommand, PersistSource, PersistSpec, Recovered, SessionState, SlotState,
-    WalRecord,
+    Command, ConstraintSpec, FileFactory, Recovered, SessionState, SlotState, WalRecord,
 };
 
-use crate::command::{Command, ConstraintSpec, Source};
+use crate::command::build_kind;
 
 /// When committed batches reach disk ([`DurabilityOptions::mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,10 +50,11 @@ pub enum Durability {
     /// commit is on disk before the ack, but commits ride the same flush
     /// through a [`stem_persist::GroupCommit`] coordinator — one fsync
     /// covers every record appended while it was pending. A worker drains
-    /// its queue into a group (one batch per session at a time), appends
-    /// every record, and waits once for all of them; workers waiting at
-    /// the same time share the flush too. Same guarantee as
-    /// [`Durability::CommitSync`], amortised cost.
+    /// every ready batch in its queue into a group — a session's later
+    /// batches run stacked on its earlier ones — appends every record, and
+    /// waits once for all of them; workers waiting at the same time share
+    /// the flush too. Same guarantee as [`Durability::CommitSync`],
+    /// amortised cost.
     GroupCommit,
 }
 
@@ -112,219 +111,6 @@ pub(crate) fn durability_label(mode: Option<Durability>) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Vocabulary conversions
-// ---------------------------------------------------------------------
-
-/// The replayable mirror of a constraint spec; `None` for `Custom` kinds,
-/// which have no byte representation.
-pub(crate) fn spec_to_persist(spec: &ConstraintSpec) -> Option<PersistSpec> {
-    Some(match spec {
-        ConstraintSpec::Equality => PersistSpec::Equality,
-        ConstraintSpec::Sum => PersistSpec::Sum,
-        ConstraintSpec::Max => PersistSpec::Max,
-        ConstraintSpec::Min => PersistSpec::Min,
-        ConstraintSpec::Product => PersistSpec::Product,
-        ConstraintSpec::Scale { gain, offset } => PersistSpec::Scale {
-            gain: *gain,
-            offset: *offset,
-        },
-        ConstraintSpec::LeConst(v) => PersistSpec::LeConst(v.clone()),
-        ConstraintSpec::GeConst(v) => PersistSpec::GeConst(v.clone()),
-        ConstraintSpec::EqConst(v) => PersistSpec::EqConst(v.clone()),
-        ConstraintSpec::Le => PersistSpec::Le,
-        ConstraintSpec::Lt => PersistSpec::Lt,
-        ConstraintSpec::DomAdd { views, out } => PersistSpec::DomAdd {
-            views: *views,
-            out: *out,
-        },
-        ConstraintSpec::DomLe { c, views, out } => PersistSpec::DomLe {
-            c: *c,
-            views: *views,
-            out: *out,
-        },
-        ConstraintSpec::DomAllDiff => PersistSpec::DomAllDiff,
-        ConstraintSpec::DomReifLe { c, views } => PersistSpec::DomReifLe {
-            c: *c,
-            views: *views,
-        },
-        ConstraintSpec::Custom(_) => return None,
-    })
-}
-
-pub(crate) fn spec_from_persist(spec: &PersistSpec) -> ConstraintSpec {
-    match spec {
-        PersistSpec::Equality => ConstraintSpec::Equality,
-        PersistSpec::Sum => ConstraintSpec::Sum,
-        PersistSpec::Max => ConstraintSpec::Max,
-        PersistSpec::Min => ConstraintSpec::Min,
-        PersistSpec::Product => ConstraintSpec::Product,
-        PersistSpec::Scale { gain, offset } => ConstraintSpec::Scale {
-            gain: *gain,
-            offset: *offset,
-        },
-        PersistSpec::LeConst(v) => ConstraintSpec::LeConst(v.clone()),
-        PersistSpec::GeConst(v) => ConstraintSpec::GeConst(v.clone()),
-        PersistSpec::EqConst(v) => ConstraintSpec::EqConst(v.clone()),
-        PersistSpec::Le => ConstraintSpec::Le,
-        PersistSpec::Lt => ConstraintSpec::Lt,
-        PersistSpec::DomAdd { views, out } => ConstraintSpec::DomAdd {
-            views: *views,
-            out: *out,
-        },
-        PersistSpec::DomLe { c, views, out } => ConstraintSpec::DomLe {
-            c: *c,
-            views: *views,
-            out: *out,
-        },
-        PersistSpec::DomAllDiff => ConstraintSpec::DomAllDiff,
-        PersistSpec::DomReifLe { c, views } => ConstraintSpec::DomReifLe {
-            c: *c,
-            views: *views,
-        },
-    }
-}
-
-fn source_to_persist(source: Source) -> PersistSource {
-    match source {
-        Source::User => PersistSource::User,
-        Source::Application => PersistSource::Application,
-        Source::Update => PersistSource::Update,
-        Source::DefaultValue => PersistSource::DefaultValue,
-    }
-}
-
-fn source_from_persist(source: PersistSource) -> Source {
-    match source {
-        PersistSource::User => Source::User,
-        PersistSource::Application => Source::Application,
-        PersistSource::Update => Source::Update,
-        PersistSource::DefaultValue => Source::DefaultValue,
-    }
-}
-
-// Public conversions for wire-protocol frontends (`stem-server`): the
-// network carries the persistable vocabulary, the engine speaks
-// `ConstraintSpec`/`Source`.
-
-impl From<PersistSpec> for ConstraintSpec {
-    fn from(spec: PersistSpec) -> ConstraintSpec {
-        spec_from_persist(&spec)
-    }
-}
-
-impl From<PersistSource> for Source {
-    fn from(source: PersistSource) -> Source {
-        source_from_persist(source)
-    }
-}
-
-impl From<Source> for PersistSource {
-    fn from(source: Source) -> PersistSource {
-        source_to_persist(source)
-    }
-}
-
-impl TryFrom<&ConstraintSpec> for PersistSpec {
-    /// The spec is a [`ConstraintSpec::Custom`] kind factory — process-local
-    /// code with no serialisable description.
-    type Error = ();
-
-    fn try_from(spec: &ConstraintSpec) -> Result<PersistSpec, ()> {
-        spec_to_persist(spec).ok_or(())
-    }
-}
-
-impl From<PersistCommand> for Command {
-    fn from(cmd: PersistCommand) -> Command {
-        command_from_persist(cmd)
-    }
-}
-
-/// Converts a batch into its loggable mirror, dropping read-only commands
-/// (replaying them would be a no-op). `Err(index)` on a custom constraint
-/// kind — validation rejects those up front on durable engines, so the
-/// worker treats this as unreachable.
-pub(crate) fn commands_to_persist(commands: &[Command]) -> Result<Vec<PersistCommand>, usize> {
-    let mut out = Vec::with_capacity(commands.len());
-    for (ix, cmd) in commands.iter().enumerate() {
-        match cmd {
-            Command::AddVariable { name } => {
-                out.push(PersistCommand::AddVariable { name: name.clone() })
-            }
-            Command::Set { var, value, source } => out.push(PersistCommand::Set {
-                var: *var,
-                value: value.clone(),
-                source: source_to_persist(*source),
-            }),
-            Command::Unset { var } => out.push(PersistCommand::Unset { var: *var }),
-            Command::AddConstraint { spec, args } => {
-                let Some(spec) = spec_to_persist(spec) else {
-                    return Err(ix);
-                };
-                out.push(PersistCommand::AddConstraint {
-                    spec,
-                    args: args.clone(),
-                });
-            }
-            Command::RemoveConstraint { constraint } => {
-                out.push(PersistCommand::RemoveConstraint {
-                    constraint: *constraint,
-                })
-            }
-            Command::EnableConstraint {
-                constraint,
-                enabled,
-            } => out.push(PersistCommand::EnableConstraint {
-                constraint: *constraint,
-                enabled: *enabled,
-            }),
-            Command::SetKindEnabled { kind_name, enabled } => {
-                out.push(PersistCommand::SetKindEnabled {
-                    kind_name: kind_name.clone(),
-                    enabled: *enabled,
-                })
-            }
-            Command::SetValueChangeLimit { limit } => {
-                out.push(PersistCommand::SetValueChangeLimit { limit: *limit })
-            }
-            Command::Get { .. }
-            | Command::Probe { .. }
-            | Command::DumpValues
-            | Command::CheckAll => {}
-        }
-    }
-    Ok(out)
-}
-
-pub(crate) fn command_from_persist(cmd: PersistCommand) -> Command {
-    match cmd {
-        PersistCommand::AddVariable { name } => Command::AddVariable { name },
-        PersistCommand::Set { var, value, source } => Command::Set {
-            var,
-            value,
-            source: source_from_persist(source),
-        },
-        PersistCommand::Unset { var } => Command::Unset { var },
-        PersistCommand::AddConstraint { spec, args } => Command::AddConstraint {
-            spec: spec_from_persist(&spec),
-            args,
-        },
-        PersistCommand::RemoveConstraint { constraint } => Command::RemoveConstraint { constraint },
-        PersistCommand::EnableConstraint {
-            constraint,
-            enabled,
-        } => Command::EnableConstraint {
-            constraint,
-            enabled,
-        },
-        PersistCommand::SetKindEnabled { kind_name, enabled } => {
-            Command::SetKindEnabled { kind_name, enabled }
-        }
-        PersistCommand::SetValueChangeLimit { limit } => Command::SetValueChangeLimit { limit },
-    }
-}
-
-// ---------------------------------------------------------------------
 // Spec shadow + checkpoint state
 // ---------------------------------------------------------------------
 
@@ -332,11 +118,11 @@ pub(crate) fn command_from_persist(cmd: PersistCommand) -> Command {
 /// shadow. Slot indices allocate sequentially and removals tombstone in
 /// place, exactly like the network's constraint arena, so pushing on add
 /// and clearing on remove keeps `specs[i]` aligned with slot `i`.
-pub(crate) fn absorb_committed(specs: &mut Vec<Option<PersistSpec>>, commands: &[PersistCommand]) {
+pub(crate) fn absorb_committed(specs: &mut Vec<Option<ConstraintSpec>>, commands: &[Command]) {
     for cmd in commands {
         match cmd {
-            PersistCommand::AddConstraint { spec, .. } => specs.push(Some(spec.clone())),
-            PersistCommand::RemoveConstraint { constraint } => {
+            Command::AddConstraint { spec, .. } => specs.push(Some(spec.clone())),
+            Command::RemoveConstraint { constraint } => {
                 if let Some(slot) = specs.get_mut(constraint.index()) {
                     *slot = None;
                 }
@@ -349,7 +135,7 @@ pub(crate) fn absorb_committed(specs: &mut Vec<Option<PersistSpec>>, commands: &
 /// Serialises a session for a checkpoint: variable images verbatim
 /// (value + justification, not re-derived) plus the constraint arena via
 /// the spec shadow.
-pub(crate) fn gather_state(net: &Network, specs: &[Option<PersistSpec>]) -> SessionState {
+pub(crate) fn gather_state(net: &Network, specs: &[Option<ConstraintSpec>]) -> SessionState {
     let vars = net
         .variables()
         .map(|v| {
@@ -396,7 +182,7 @@ pub(crate) fn gather_state(net: &Network, specs: &[Option<PersistSpec>]) -> Sess
 pub(crate) fn restore_network(
     state: &SessionState,
     step_budget: Option<u64>,
-) -> (Network, Vec<Option<PersistSpec>>) {
+) -> (Network, Vec<Option<ConstraintSpec>>) {
     let mut net = Network::new();
     net.set_step_limit(step_budget);
     net.set_propagation_enabled(false);
@@ -419,7 +205,7 @@ pub(crate) fn restore_network(
                 args,
                 enabled,
             } => {
-                let kind = spec_from_persist(spec).build();
+                let kind = build_kind(spec);
                 let cid = net.add_constraint_quiet_rc(kind, args.iter().copied());
                 if !*enabled {
                     net.set_constraint_enabled(cid, false);
@@ -452,7 +238,7 @@ pub(crate) struct RecoveredSession {
     pub id: u64,
     pub seq: u64,
     pub state: SessionState,
-    pub tail: Vec<Vec<PersistCommand>>,
+    pub tail: Vec<Vec<Command>>,
     /// Highest client idempotence key among the checkpoint image and the
     /// applied tail records — re-arms duplicate suppression so a client
     /// resubmitting across a restart/failover cannot double-apply.
@@ -562,11 +348,11 @@ pub(crate) fn plan_recovery(rec: Recovered) -> RecoveryPlan {
 mod tests {
     use super::*;
 
-    fn set(var: usize, v: i64) -> PersistCommand {
-        PersistCommand::Set {
+    fn set(var: usize, v: i64) -> Command {
+        Command::Set {
             var: VarId::from_index(var),
             value: Value::Int(v),
-            source: PersistSource::User,
+            source: stem_persist::Source::User,
         }
     }
 
@@ -640,12 +426,12 @@ mod tests {
         let c = net.add_variable("c");
         let mut specs = Vec::new();
         let installed = vec![
-            PersistCommand::AddConstraint {
-                spec: PersistSpec::Equality,
+            Command::AddConstraint {
+                spec: ConstraintSpec::Equality,
                 args: vec![a, b],
             },
-            PersistCommand::AddConstraint {
-                spec: PersistSpec::Sum,
+            Command::AddConstraint {
+                spec: ConstraintSpec::Sum,
                 args: vec![a, b, c],
             },
         ];
@@ -662,7 +448,7 @@ mod tests {
         net.remove_constraint(ConstraintId::from_index(0));
         absorb_committed(
             &mut specs,
-            &[PersistCommand::RemoveConstraint {
+            &[Command::RemoveConstraint {
                 constraint: ConstraintId::from_index(0),
             }],
         );

@@ -16,7 +16,7 @@ use stem_core::prng::SplitMix64;
 use stem_core::{ConstraintId, ConstraintKind, Network, Value, VarId, Violation};
 use stem_engine::{
     BatchError, BatchOutcome, Command, ConstraintSpec, Durability, DurabilityOptions, Engine,
-    EngineConfig, Output, SessionId, Source,
+    EngineConfig, KindFactory, Output, SessionId, Source,
 };
 use stem_testkit::TempDir;
 
@@ -333,7 +333,7 @@ fn journal_rollback_undoes_propagation_before_a_panic() {
                     name: "trigger".into(),
                 },
                 Command::AddConstraint {
-                    spec: ConstraintSpec::Custom(Box::new(|| Rc::new(PanicOnInfer))),
+                    spec: ConstraintSpec::Custom(KindFactory::new(|| Rc::new(PanicOnInfer))),
                     args: vec![trigger],
                 },
             ],

@@ -9,7 +9,8 @@ use std::time::Duration;
 use stem_core::prng::SplitMix64;
 use stem_core::{ConstraintId, ConstraintKind, Network, Value, VarId, Violation, ViolationKind};
 use stem_engine::{
-    BatchError, Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source,
+    BatchError, Command, ConstraintSpec, Engine, EngineConfig, KindFactory, Output, SessionId,
+    Source,
 };
 
 fn var(ix: usize) -> VarId {
@@ -188,7 +189,7 @@ fn panicking_batch_rolls_back_and_quarantines() {
                 add("x"),
                 add("y"),
                 Command::AddConstraint {
-                    spec: ConstraintSpec::Custom(Box::new(|| Rc::new(PanicOnInfer))),
+                    spec: ConstraintSpec::Custom(KindFactory::new(|| Rc::new(PanicOnInfer))),
                     args: vec![var(0), var(1)],
                 },
             ],
@@ -276,7 +277,7 @@ fn try_submit_reports_backpressure() {
         vec![
             add("x"),
             Command::AddConstraint {
-                spec: ConstraintSpec::Custom(Box::new(|| {
+                spec: ConstraintSpec::Custom(KindFactory::new(|| {
                     thread::sleep(Duration::from_millis(200));
                     Rc::new(stem_core::kinds::Equality::new())
                 })),

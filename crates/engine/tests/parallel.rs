@@ -8,7 +8,9 @@ use std::rc::Rc;
 
 use stem_core::kinds::Functional;
 use stem_core::{Value, VarId};
-use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source};
+use stem_engine::{
+    Command, ConstraintSpec, Engine, EngineConfig, KindFactory, Output, SessionId, Source,
+};
 use stem_testkit::TempDir;
 
 fn var(ix: usize) -> VarId {
@@ -153,7 +155,7 @@ fn session_replay_counters_reconcile_with_cache_hits() {
     cmds.push(Command::AddVariable { name: "s1".into() });
     ix += 2;
     cmds.push(Command::AddConstraint {
-        spec: ConstraintSpec::Custom(Box::new(|| {
+        spec: ConstraintSpec::Custom(KindFactory::new(|| {
             Rc::new(Functional::custom("copy", |vals| Some(vals[0].clone())))
         })),
         args: vec![var(small), var(small + 1)],

@@ -7,11 +7,9 @@ use std::fs;
 use stem_core::{Value, VarId};
 use stem_engine::{
     BatchError, Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig,
-    Output, SessionId, Source,
+    KindFactory, Output, SessionId, Source,
 };
-use stem_persist::{
-    failing_factory, ByteBudget, PersistCommand, PersistSource, Store, StoreOptions, WalRecord,
-};
+use stem_persist::{failing_factory, ByteBudget, Store, StoreOptions, WalRecord};
 use stem_testkit::TempDir;
 
 fn config() -> EngineConfig {
@@ -329,7 +327,7 @@ fn interval_sync_survives_clean_shutdown() {
 #[test]
 fn custom_kinds_are_rejected_only_when_durable() {
     let custom = || Command::AddConstraint {
-        spec: ConstraintSpec::Custom(Box::new(|| {
+        spec: ConstraintSpec::Custom(KindFactory::new(|| {
             std::rc::Rc::new(stem_core::kinds::Equality::new())
         })),
         args: vec![VarId::from_index(0)],
@@ -457,10 +455,10 @@ fn sequence_gap_quarantines_and_fences_stale_records() {
             session: 0,
             seq,
             key: 0,
-            commands: vec![PersistCommand::Set {
+            commands: vec![Command::Set {
                 var: VarId::from_index(0),
                 value: Value::Int(v),
-                source: PersistSource::User,
+                source: Source::User,
             }],
         };
         store
@@ -468,7 +466,7 @@ fn sequence_gap_quarantines_and_fences_stale_records() {
                 session: 0,
                 seq: 1,
                 key: 0,
-                commands: vec![PersistCommand::AddVariable { name: "v".into() }],
+                commands: vec![Command::AddVariable { name: "v".into() }],
             })
             .unwrap();
         store.append(&set_rec(2, 1)).unwrap();

@@ -207,9 +207,7 @@ mod tests {
             session,
             seq,
             key: 0,
-            commands: vec![crate::command::PersistCommand::SetValueChangeLimit {
-                limit: seq as u32,
-            }],
+            commands: vec![crate::command::Command::SetValueChangeLimit { limit: seq as u32 }],
         }
     }
 

@@ -10,8 +10,9 @@
 //!
 //! - [`codec`](stem_core::codec) (in `stem-core`): stable binary encoding
 //!   for values, ids and justifications.
-//! - [`command`]: the closed, replayable command vocabulary
-//!   ([`PersistCommand`], [`PersistSpec`]) the engine logs.
+//! - [`command`]: the batch vocabulary ([`Command`], [`ConstraintSpec`],
+//!   [`Source`]), declared once: the engine executes it, the wire carries
+//!   it, and the log and snapshots store its byte encoding.
 //! - [`record`]: checksummed `[len][crc][payload]` WAL frames
 //!   ([`WalRecord`]).
 //! - [`state`] / [`snapshot`]: per-session rebuildable images and the
@@ -45,7 +46,7 @@ pub mod snapshot;
 pub mod state;
 pub mod store;
 
-pub use command::{PersistCommand, PersistSource, PersistSpec};
+pub use command::{Command, ConstraintSpec, KindFactory, Source};
 pub use fault::{failing_factory, flaky_sync_factory, ByteBudget, FailingFile};
 pub use group::GroupCommit;
 pub use lease::Lease;

@@ -14,7 +14,9 @@
 //! different matter — they were written by later process generations —
 //! and the store keeps scanning them (see `store`'s recovery notes).
 
-use crate::command::PersistCommand;
+use std::io;
+
+use crate::command::Command;
 use crate::crc::crc32;
 use stem_core::codec::{put_u32, put_u64, put_u8, DecodeError, Reader};
 
@@ -39,7 +41,7 @@ pub enum WalRecord {
         /// committed batch.
         key: u64,
         /// The batch's mutating commands, in order.
-        commands: Vec<PersistCommand>,
+        commands: Vec<Command>,
     },
     /// The session was closed; recovery must not resurrect it.
     Close {
@@ -65,8 +67,10 @@ impl WalRecord {
         }
     }
 
-    /// Encodes the payload (frame not included).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    /// Encodes the payload (frame not included). A batch holding a
+    /// command with no byte encoding — read-only, or a custom kind — is
+    /// `InvalidInput`.
+    pub fn encode_payload(&self) -> io::Result<Vec<u8>> {
         let mut buf = Vec::with_capacity(64);
         match self {
             WalRecord::Batch {
@@ -81,7 +85,7 @@ impl WalRecord {
                 put_u64(&mut buf, *key);
                 put_u32(&mut buf, commands.len() as u32);
                 for c in commands {
-                    c.encode(&mut buf);
+                    c.encode(&mut buf)?;
                 }
             }
             WalRecord::Close { session, seq } => {
@@ -90,7 +94,7 @@ impl WalRecord {
                 put_u64(&mut buf, *seq);
             }
         }
-        buf
+        Ok(buf)
     }
 
     /// Decodes a payload produced by [`WalRecord::encode_payload`].
@@ -104,7 +108,7 @@ impl WalRecord {
                 let n = r.len()?;
                 let mut commands = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    commands.push(PersistCommand::decode(&mut r)?);
+                    commands.push(Command::decode(&mut r)?);
                 }
                 WalRecord::Batch {
                     session,
@@ -133,9 +137,10 @@ impl WalRecord {
         Ok(rec)
     }
 
-    /// Encodes the full on-disk frame: `[len][crc][payload]`.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        frame(&self.encode_payload())
+    /// Encodes the full on-disk frame: `[len][crc][payload]`; errors as
+    /// [`WalRecord::encode_payload`].
+    pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
+        Ok(frame(&self.encode_payload()?))
     }
 }
 
@@ -189,7 +194,7 @@ pub fn scan_frame(buf: &[u8]) -> FrameScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{PersistSource, PersistSpec};
+    use crate::command::{ConstraintSpec, Source};
     use stem_core::{Value, VarId};
 
     fn sample() -> WalRecord {
@@ -198,16 +203,16 @@ mod tests {
             seq: 3,
             key: 9,
             commands: vec![
-                PersistCommand::AddVariable {
+                Command::AddVariable {
                     name: "width".into(),
                 },
-                PersistCommand::Set {
+                Command::Set {
                     var: VarId::from_index(0),
                     value: Value::Int(64),
-                    source: PersistSource::Application,
+                    source: Source::Application,
                 },
-                PersistCommand::AddConstraint {
-                    spec: PersistSpec::LeConst(Value::Int(128)),
+                Command::AddConstraint {
+                    spec: ConstraintSpec::LeConst(Value::Int(128)),
                     args: vec![VarId::from_index(0)],
                 },
             ],
@@ -217,7 +222,7 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let rec = sample();
-        let bytes = rec.encode_frame();
+        let bytes = rec.encode_frame().unwrap();
         match scan_frame(&bytes) {
             FrameScan::Ok { payload, rest } => {
                 assert!(rest.is_empty());
@@ -229,7 +234,7 @@ mod tests {
 
     #[test]
     fn every_truncation_reads_as_end() {
-        let bytes = sample().encode_frame();
+        let bytes = sample().encode_frame().unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 matches!(scan_frame(&bytes[..cut]), FrameScan::End),
@@ -241,7 +246,7 @@ mod tests {
     #[test]
     fn every_bitflip_reads_as_end_or_decode_error() {
         let rec = sample();
-        let bytes = rec.encode_frame();
+        let bytes = rec.encode_frame().unwrap();
         for i in 0..bytes.len() * 8 {
             let mut bad = bytes.clone();
             bad[i / 8] ^= 1 << (i % 8);
@@ -264,16 +269,42 @@ mod tests {
     }
 
     #[test]
+    fn unloggable_commands_refuse_to_encode() {
+        let custom = ConstraintSpec::Custom(crate::KindFactory::new(|| {
+            std::rc::Rc::new(stem_core::kinds::Equality::new())
+        }));
+        for command in [
+            Command::Get {
+                var: VarId::from_index(0),
+            },
+            Command::CheckAll,
+            Command::AddConstraint {
+                spec: custom,
+                args: vec![VarId::from_index(0)],
+            },
+        ] {
+            let rec = WalRecord::Batch {
+                session: 0,
+                seq: 1,
+                key: 0,
+                commands: vec![command],
+            };
+            let err = rec.encode_frame().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    #[test]
     fn close_round_trips_and_chains() {
         let a = WalRecord::Batch {
             session: 1,
             seq: 1,
             key: 0,
-            commands: vec![PersistCommand::SetValueChangeLimit { limit: 4 }],
+            commands: vec![Command::SetValueChangeLimit { limit: 4 }],
         };
         let b = WalRecord::Close { session: 1, seq: 2 };
-        let mut bytes = a.encode_frame();
-        bytes.extend(b.encode_frame());
+        let mut bytes = a.encode_frame().unwrap();
+        bytes.extend(b.encode_frame().unwrap());
 
         let FrameScan::Ok { payload, rest } = scan_frame(&bytes) else {
             panic!("first frame")
@@ -296,18 +327,18 @@ mod tests {
             seq: 5,
             key: 2,
             commands: vec![
-                PersistCommand::Set {
+                Command::Set {
                     var: VarId::from_index(0),
                     value: Value::Interval(Interval::new(-3, 4096)),
-                    source: PersistSource::User,
+                    source: Source::User,
                 },
-                PersistCommand::Set {
+                Command::Set {
                     var: VarId::from_index(1),
                     value: Value::FinSet(FinSet::new(0x8000_0000_0000_0101)),
-                    source: PersistSource::Update,
+                    source: Source::Update,
                 },
-                PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomAdd {
+                Command::AddConstraint {
+                    spec: ConstraintSpec::DomAdd {
                         views: [(1, 0), (-1, 7), (1, -2)],
                         out: Some(2),
                     },
@@ -317,20 +348,20 @@ mod tests {
                         VarId::from_index(2),
                     ],
                 },
-                PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomLe {
+                Command::AddConstraint {
+                    spec: ConstraintSpec::DomLe {
                         c: -4,
                         views: [(-1, 0), (-1, 0)],
                         out: None,
                     },
                     args: vec![VarId::from_index(0), VarId::from_index(1)],
                 },
-                PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomAllDiff,
+                Command::AddConstraint {
+                    spec: ConstraintSpec::DomAllDiff,
                     args: vec![VarId::from_index(1), VarId::from_index(2)],
                 },
-                PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomReifLe {
+                Command::AddConstraint {
+                    spec: ConstraintSpec::DomReifLe {
                         c: 9,
                         views: [(1, 1), (1, -1)],
                     },
@@ -347,7 +378,7 @@ mod tests {
     #[test]
     fn domain_record_round_trips() {
         let rec = domain_sample();
-        let bytes = rec.encode_frame();
+        let bytes = rec.encode_frame().unwrap();
         let FrameScan::Ok { payload, rest } = scan_frame(&bytes) else {
             panic!("domain frame did not scan")
         };
@@ -357,7 +388,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_domain_record_reads_as_end() {
-        let bytes = domain_sample().encode_frame();
+        let bytes = domain_sample().encode_frame().unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 matches!(scan_frame(&bytes[..cut]), FrameScan::End),
@@ -369,7 +400,7 @@ mod tests {
     #[test]
     fn every_bitflip_of_domain_record_reads_as_end_or_original() {
         let rec = domain_sample();
-        let bytes = rec.encode_frame();
+        let bytes = rec.encode_frame().unwrap();
         for i in 0..bytes.len() * 8 {
             let mut bad = bytes.clone();
             bad[i / 8] ^= 1 << (i % 8);

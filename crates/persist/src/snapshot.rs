@@ -15,6 +15,8 @@
 //! synced, renamed into place, and only then allowed to retire older
 //! files.
 
+use std::io;
+
 use crate::record::{frame, scan_frame, FrameScan};
 use crate::state::SessionState;
 use stem_core::codec::{put_u32, put_u64, DecodeError, Reader};
@@ -35,8 +37,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Encodes the full snapshot file image (magic + checksummed frame).
-    pub fn encode_file(&self) -> Vec<u8> {
+    /// Encodes the full snapshot file image (magic + checksummed frame);
+    /// errors as [`SessionState::encode`].
+    pub fn encode_file(&self) -> io::Result<Vec<u8>> {
         let mut payload = Vec::with_capacity(256);
         put_u64(&mut payload, self.next_session);
         put_u32(&mut payload, self.closed.len() as u32);
@@ -47,12 +50,12 @@ impl Snapshot {
         for (id, seq, state) in &self.sessions {
             put_u64(&mut payload, *id);
             put_u64(&mut payload, *seq);
-            state.encode(&mut payload);
+            state.encode(&mut payload)?;
         }
         let mut out = Vec::with_capacity(payload.len() + 16);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&frame(&payload));
-        out
+        Ok(out)
     }
 
     /// Decodes a snapshot file image; `None` for anything torn, truncated,
@@ -97,7 +100,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::PersistSpec;
+    use crate::command::ConstraintSpec;
     use crate::state::SlotState;
     use stem_core::{Justification, Value, VarId};
 
@@ -118,7 +121,7 @@ mod tests {
                         slots: vec![
                             SlotState::Tombstone,
                             SlotState::Live {
-                                spec: PersistSpec::Scale {
+                                spec: ConstraintSpec::Scale {
                                     gain: 2.0,
                                     offset: -1.0,
                                 },
@@ -137,12 +140,15 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let snap = sample();
-        assert_eq!(Snapshot::decode_file(&snap.encode_file()), Some(snap));
+        assert_eq!(
+            Snapshot::decode_file(&snap.encode_file().unwrap()),
+            Some(snap)
+        );
     }
 
     #[test]
     fn torn_or_corrupt_file_is_none() {
-        let bytes = sample().encode_file();
+        let bytes = sample().encode_file().unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 Snapshot::decode_file(&bytes[..cut]).is_none(),

@@ -9,7 +9,9 @@
 //! (values, justifications, violation sweeps) without re-running
 //! propagation.
 
-use crate::command::PersistSpec;
+use std::io;
+
+use crate::command::ConstraintSpec;
 use stem_core::codec::{
     put_bool, put_justification, put_str, put_u32, put_u64, put_u8, put_value, put_var,
     DecodeError, Reader,
@@ -22,7 +24,7 @@ pub enum SlotState {
     /// A live constraint: spec, argument variables, enabled flag.
     Live {
         /// What the constraint does.
-        spec: PersistSpec,
+        spec: ConstraintSpec,
         /// Its argument variables, by arena index.
         args: Vec<stem_core::VarId>,
         /// Whether it participates in propagation.
@@ -65,8 +67,9 @@ impl Default for SessionState {
 }
 
 impl SessionState {
-    /// Appends the state to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// Appends the state to `buf`; a live slot holding a custom kind has
+    /// no encoding (`InvalidInput`).
+    pub fn encode(&self, buf: &mut Vec<u8>) -> io::Result<()> {
         put_u32(buf, self.vars.len() as u32);
         for (name, value, just) in &self.vars {
             put_str(buf, name);
@@ -83,7 +86,7 @@ impl SessionState {
                     enabled,
                 } => {
                     put_u8(buf, 1);
-                    spec.encode(buf);
+                    spec.encode(buf)?;
                     put_u32(buf, args.len() as u32);
                     for a in args {
                         put_var(buf, *a);
@@ -94,6 +97,7 @@ impl SessionState {
         }
         put_u32(buf, self.value_change_limit);
         put_u64(buf, self.dedup);
+        Ok(())
     }
 
     /// Reads a state from `r`.
@@ -113,7 +117,7 @@ impl SessionState {
             slots.push(match r.u8()? {
                 0 => SlotState::Tombstone,
                 1 => {
-                    let spec = PersistSpec::decode(r)?;
+                    let spec = ConstraintSpec::decode(r)?;
                     let n = r.len()?;
                     let mut args = Vec::with_capacity(n.min(1024));
                     for _ in 0..n {

@@ -445,7 +445,7 @@ impl Store {
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
         self.check_fence()?;
         self.cut_torn_tail()?;
-        let frame = rec.encode_frame();
+        let frame = rec.encode_frame()?;
         match self.opts.sync {
             SyncPolicy::Always => {
                 if let Err(err) = self.file.write_all(&frame) {
@@ -606,12 +606,13 @@ impl Store {
     /// closed-session ids) must see `true` before forgetting anything.
     pub fn write_snapshot(&mut self, snap: &Snapshot, covered: &[u64]) -> io::Result<bool> {
         self.check_fence()?;
+        let image = snap.encode_file()?;
         let idx = self.next_snap;
         let final_path = snap_path(&self.dir, idx);
         let tmp_path = final_path.with_extension("snap.tmp");
         {
             let mut f = (self.opts.file_factory)(&tmp_path)?;
-            f.write_all(&snap.encode_file())?;
+            f.write_all(&image)?;
             f.sync()?;
         }
         fs::rename(&tmp_path, &final_path)?;

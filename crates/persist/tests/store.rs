@@ -6,8 +6,8 @@ use std::io;
 
 use stem_core::{Value, VarId};
 use stem_persist::{
-    failing_factory, ByteBudget, PersistCommand, PersistSource, SessionState, Snapshot, Store,
-    StoreOptions, SyncPolicy, WalRecord,
+    failing_factory, ByteBudget, Command, SessionState, Snapshot, Source, Store, StoreOptions,
+    SyncPolicy, WalRecord,
 };
 use stem_testkit::TempDir;
 
@@ -17,10 +17,10 @@ fn batch(session: u64, seq: u64, n: usize) -> WalRecord {
         seq,
         key: 0,
         commands: (0..n)
-            .map(|i| PersistCommand::Set {
+            .map(|i| Command::Set {
                 var: VarId::from_index(i),
                 value: Value::Int(seq as i64 * 100 + i as i64),
-                source: PersistSource::User,
+                source: Source::User,
             })
             .collect(),
     }
@@ -86,7 +86,7 @@ fn torn_tail_truncates_to_committed_prefix() {
     // Byte offsets at which a cut is a clean record boundary, not a tear.
     let mut boundaries = vec![8usize];
     for r in &records {
-        boundaries.push(boundaries.last().unwrap() + r.encode_frame().len());
+        boundaries.push(boundaries.last().unwrap() + r.encode_frame().unwrap().len());
     }
     let mut prev_len = usize::MAX;
     for cut in (8..full.len()).rev() {
@@ -178,7 +178,7 @@ fn corrupt_newest_snapshot_falls_back_to_prior() {
 
     // write_snapshot retires older snapshot files; re-create the older one
     // by hand, then corrupt the newest.
-    fs::write(dir.join("snap-00000000.snap"), older.encode_file()).unwrap();
+    fs::write(dir.join("snap-00000000.snap"), older.encode_file().unwrap()).unwrap();
     let newest = dir.join("snap-00000001.snap");
     let mut bytes = fs::read(&newest).unwrap();
     let mid = bytes.len() / 2;
@@ -272,7 +272,7 @@ fn bad_magic_segment_is_quarantined_not_a_barrier() {
 #[test]
 fn append_commits_even_when_rotation_fails() {
     let dir = TempDir::new("rotfail");
-    let frame_len = batch(1, 1, 2).encode_frame().len() as u64;
+    let frame_len = batch(1, 1, 2).encode_frame().unwrap().len() as u64;
     // Enough for the open's segment magic (8) plus one full frame plus one
     // spare byte (keeps the post-frame fsync alive); the successor's magic
     // write then dies mid-rotation.

@@ -6,10 +6,10 @@
 //! transport inherits the log's corruption story: a frame either arrives
 //! intact or is rejected as a whole, and a half-written frame at
 //! connection teardown reads as a clean EOF, never a garbled message.
-//! Mutating commands ride as their [`PersistCommand`] encoding (the exact
-//! bytes the leader logs), which is what makes segment shipping and
-//! submission share one vocabulary; the four read-only commands get wire
-//! tags of their own.
+//! The engine's [`Command`] is the wire's vocabulary too: a mutating
+//! command rides as its log encoding (the exact bytes the leader appends
+//! to its WAL), so submission and segment shipping carry one vocabulary,
+//! and the four read-only commands get wire tags of their own.
 //!
 //! Every request is answered by exactly one reply, in request order —
 //! pipelining is therefore a client-side choice (send many, then read
@@ -23,7 +23,6 @@ use stem_core::codec::{
 };
 use stem_engine::{BatchError, BatchOutcome, Command, EngineStats, Output, SessionStats};
 use stem_persist::crc::crc32;
-use stem_persist::{PersistCommand, PersistSpec};
 
 /// Hard ceiling on one frame's payload (matches the WAL's record bound):
 /// anything longer is a protocol violation, not a large message.
@@ -281,8 +280,8 @@ impl Request {
     }
 }
 
-/// Encodes a [`Request::Submit`] from borrowed commands ([`Command`] is
-/// not `Clone`, so pipelining clients encode straight from a slice).
+/// Encodes a [`Request::Submit`] from borrowed commands, so pipelining
+/// clients encode straight from a slice.
 pub fn put_submit(buf: &mut Vec<u8>, session: u64, commands: &[Command]) -> io::Result<()> {
     put_u8(buf, 3);
     put_u64(buf, session);
@@ -315,48 +314,9 @@ pub fn put_submit_keyed(
 // Commands on the wire
 // ---------------------------------------------------------------------
 
-/// Rebuilds a [`PersistCommand`] image of a mutating engine command.
-/// `None` for read-only commands (they have their own wire tags) —
-/// `Err`-like `None` also for a custom kind factory, which cannot cross a
-/// process boundary.
-fn to_persist(cmd: &Command) -> Option<PersistCommand> {
-    Some(match cmd {
-        Command::AddVariable { name } => PersistCommand::AddVariable { name: name.clone() },
-        Command::Set { var, value, source } => PersistCommand::Set {
-            var: *var,
-            value: value.clone(),
-            source: (*source).into(),
-        },
-        Command::Unset { var } => PersistCommand::Unset { var: *var },
-        Command::AddConstraint { spec, args } => PersistCommand::AddConstraint {
-            spec: PersistSpec::try_from(spec).ok()?,
-            args: args.clone(),
-        },
-        Command::RemoveConstraint { constraint } => PersistCommand::RemoveConstraint {
-            constraint: *constraint,
-        },
-        Command::EnableConstraint {
-            constraint,
-            enabled,
-        } => PersistCommand::EnableConstraint {
-            constraint: *constraint,
-            enabled: *enabled,
-        },
-        Command::SetKindEnabled { kind_name, enabled } => PersistCommand::SetKindEnabled {
-            kind_name: kind_name.clone(),
-            enabled: *enabled,
-        },
-        Command::SetValueChangeLimit { limit } => {
-            PersistCommand::SetValueChangeLimit { limit: *limit }
-        }
-        Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll => {
-            return None
-        }
-    })
-}
-
 /// Appends one command: mutating commands as tag 0 + their WAL encoding,
-/// read-only commands with wire tags of their own.
+/// read-only commands with wire tags of their own. A custom constraint
+/// kind cannot cross a process boundary: `InvalidInput`.
 pub fn put_command(buf: &mut Vec<u8>, cmd: &Command) -> io::Result<()> {
     match cmd {
         Command::Get { var } => {
@@ -371,14 +331,8 @@ pub fn put_command(buf: &mut Vec<u8>, cmd: &Command) -> io::Result<()> {
         Command::DumpValues => put_u8(buf, 3),
         Command::CheckAll => put_u8(buf, 4),
         mutating => {
-            let Some(p) = to_persist(mutating) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "custom constraint kinds cannot be submitted over the wire",
-                ));
-            };
             put_u8(buf, 0);
-            p.encode(buf);
+            mutating.encode(buf)?;
         }
     }
     Ok(())
@@ -388,7 +342,7 @@ pub fn put_command(buf: &mut Vec<u8>, cmd: &Command) -> io::Result<()> {
 pub fn read_command(r: &mut Reader<'_>) -> Result<Command, DecodeError> {
     let at = r.position();
     Ok(match r.u8()? {
-        0 => PersistCommand::decode(r)?.into(),
+        0 => Command::decode(r)?,
         1 => Command::Get { var: r.var()? },
         2 => Command::Probe {
             var: r.var()?,

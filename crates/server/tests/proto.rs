@@ -7,7 +7,8 @@ use std::io::Cursor;
 use stem_core::codec::Reader;
 use stem_core::{ConstraintId, FinSet, Interval, Justification, Value, VarId, Violation};
 use stem_engine::{
-    BatchError, BatchOutcome, Command, ConstraintSpec, EngineStats, Output, SessionStats, Source,
+    BatchError, BatchOutcome, Command, ConstraintSpec, EngineStats, KindFactory, Output,
+    SessionStats, Source,
 };
 use stem_server::proto::{read_frame, write_frame, Reply, Request, MAX_FRAME_LEN};
 
@@ -374,12 +375,13 @@ fn custom_kinds_are_refused_at_encode_time() {
     let req = Request::Submit {
         session: 0,
         commands: vec![Command::AddConstraint {
-            spec: ConstraintSpec::Custom(Box::new(|| {
+            spec: ConstraintSpec::Custom(KindFactory::new(|| {
                 std::rc::Rc::new(stem_core::kinds::Equality::new())
             })),
             args: vec![],
         }],
     };
     let mut buf = Vec::new();
-    assert!(req.encode(&mut buf).is_err());
+    let err = req.encode(&mut buf).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }

@@ -141,6 +141,60 @@ fn pipelined_batches_come_back_in_order() {
     assert!(c.stats().unwrap().batches >= N as u64);
 }
 
+/// A domain spec whose output index or arity does not fit its arguments
+/// decodes fine (only 255 means "non-directional"), so validation must
+/// refuse it before the kind is built: the client gets an invalid
+/// command, and the session is not quarantined.
+#[test]
+fn a_malformed_domain_spec_is_refused_over_the_wire() {
+    let server = spawn_server();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let s = c.open().unwrap();
+    let add = |name: &str| Command::AddVariable { name: name.into() };
+    c.apply(s, &[add("x"), add("y"), add("z")])
+        .unwrap()
+        .unwrap();
+    let v = VarId::from_index;
+    for (spec, args) in [
+        (
+            ConstraintSpec::DomLe {
+                c: 0,
+                views: [(1, 0), (1, 0)],
+                out: Some(2),
+            },
+            vec![v(0), v(1)],
+        ),
+        (
+            ConstraintSpec::DomAdd {
+                views: [(1, 0), (1, 0), (1, 0)],
+                out: Some(7),
+            },
+            vec![v(0), v(1), v(2)],
+        ),
+        (
+            ConstraintSpec::DomLe {
+                c: 0,
+                views: [(1, 0), (1, 0)],
+                out: None,
+            },
+            vec![v(0)],
+        ),
+    ] {
+        let err = c
+            .apply(s, &[Command::AddConstraint { spec, args }])
+            .unwrap()
+            .unwrap_err();
+        assert!(
+            matches!(err, BatchError::InvalidCommand { index: 0, .. }),
+            "{err:?}"
+        );
+        assert!(!c.session_stats(s).unwrap().quarantined);
+        c.apply(s, &[set(0, 1)])
+            .unwrap()
+            .expect("the session still takes mutating batches");
+    }
+}
+
 #[test]
 fn one_session_driven_from_many_connections_stays_ordered() {
     let server = spawn_server();
