@@ -44,18 +44,17 @@ impl<'n> NetworkInspector<'n> {
             crate::PlanStatus::Uncompilable => "  plan(uncompilable)".to_string(),
             crate::PlanStatus::Ready { steps, checks } => {
                 let mut s = format!("  plan({steps} steps, {checks} checks)");
-                // Kernel shape and skew diagnostics: cone count, costliest
-                // cone against the pool floor (below it the cones run
-                // inline), and the last committed replay's steal count —
-                // enough to see an unbalanced partition without a profiler.
+                // Kernel shape and skew diagnostics: cone count and the
+                // costliest cone against the pool floor (below it the
+                // cones run inline) — enough to see an unbalanced
+                // partition without a profiler.
                 if let Some(d) = n.plan_par_detail(var) {
                     let _ = write!(
                         s,
-                        "  par({} cones, max task {}, floor {}, last stolen {})",
+                        "  par({} cones, max task {}, floor {})",
                         d.cones,
                         d.max_task_exec,
                         n.parallel_min_steps(),
-                        d.last_stolen
                     );
                 }
                 s
@@ -109,14 +108,8 @@ impl<'n> NetworkInspector<'n> {
             self.net.n_variables(),
             self.net.n_constraints()
         );
-        // What a crash right now would cost: the durability regime, plus
-        // any still-open change journal (an uncommitted batch in flight).
-        let _ = writeln!(
-            out,
-            "  durability: {}; open journal entries: {}",
-            self.net.durability_label(),
-            self.net.journal_len(),
-        );
+        // Any still-open change journal: an uncommitted batch in flight.
+        let _ = writeln!(out, "  open journal entries: {}", self.net.journal_len());
         // Domain-propagation health: how much narrowing landed, how much
         // work subsumption marks saved, and how often a domain emptied.
         let s = self.net.stats();
@@ -276,20 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn dump_reports_durability_and_journal_depth() {
+    fn dump_reports_journal_depth() {
         let (mut net, a, ..) = sample();
         let text = NetworkInspector::new(&net).dump();
-        assert!(
-            text.contains("durability: volatile (in-memory only)"),
-            "{text}"
-        );
         assert!(text.contains("open journal entries: 0"), "{text}");
 
-        net.set_durability_label("commit-sync (fsync per commit)");
         net.begin_journal();
         net.set(a, Value::Int(5), Justification::User).unwrap();
         let text = NetworkInspector::new(&net).dump();
-        assert!(text.contains("durability: commit-sync"), "{text}");
         // The open journal holds this batch's undo entries — exactly the
         // in-flight work a crash would lose.
         assert!(!text.contains("open journal entries: 0"), "{text}");
@@ -368,8 +355,7 @@ mod tests {
         net.set(root, Value::Int(1), Justification::User).unwrap();
         let insp = NetworkInspector::new(&net);
         let da = insp.describe_variable(root);
-        assert!(da.contains("par(3 cones, max task 1, floor 1"), "{da}");
-        assert!(da.contains("last stolen"), "{da}");
+        assert!(da.contains("par(3 cones, max task 1, floor 1)"), "{da}");
     }
 
     #[test]

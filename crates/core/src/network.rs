@@ -336,10 +336,6 @@ pub struct Network {
     /// so core propagation statistics stay byte-identical across thread
     /// counts (the differential test's invariant).
     par_stats: ParStats,
-    /// Owner-declared durability regime, for inspection only — the
-    /// network itself never touches disk. The engine stamps its sessions;
-    /// standalone networks keep the volatile default.
-    durability_label: &'static str,
     /// Runtime subsumption mark per constraint index: a marked constraint
     /// is entailed by current domains, so dispatch and plan replay skip
     /// it ([`Network::mark_subsumed`]). Grown lazily on first mark.
@@ -411,7 +407,6 @@ impl Clone for Network {
             plan_tokens: self.plan_tokens.clone(),
             next_plan_token: self.next_plan_token,
             par_stats: self.par_stats,
-            durability_label: self.durability_label,
             subsumed: self.subsumed.clone(),
             n_subsumed: self.n_subsumed,
             subsumed_flips: Vec::new(),
@@ -448,7 +443,6 @@ impl Network {
             plan_tokens: Vec::new(),
             next_plan_token: 1,
             par_stats: ParStats::default(),
-            durability_label: "volatile (in-memory only)",
             subsumed: Vec::new(),
             n_subsumed: 0,
             subsumed_flips: Vec::new(),
@@ -1214,20 +1208,6 @@ impl Network {
         self.journal.is_some()
     }
 
-    /// Declares the durability regime this network's owner runs it under;
-    /// purely informational — the network itself never touches disk. The
-    /// engine stamps its sessions' networks; the inspector's dump prints
-    /// the label ("what would be lost on crash").
-    pub fn set_durability_label(&mut self, label: &'static str) {
-        self.durability_label = label;
-    }
-
-    /// The owner-declared durability label; `"volatile (in-memory only)"`
-    /// unless [`Network::set_durability_label`] was called.
-    pub fn durability_label(&self) -> &'static str {
-        self.durability_label
-    }
-
     /// Number of undo entries in the open journal (0 when none is open).
     /// Proportional to the touched set — the O(touched) guarantee is
     /// testable through this.
@@ -1733,17 +1713,14 @@ impl Network {
     }
 
     /// Diagnostic detail for `var`'s cached kernel partition, for the
-    /// inspector: cone count, the executing-step width of the costliest
-    /// cone, and how many cones were stolen during the most recent
-    /// committed replay. `None` when there is no current partitioned
-    /// plan.
+    /// inspector: cone count and the executing-step width of the
+    /// costliest cone. `None` when there is no current partitioned plan.
     pub fn plan_par_detail(&self, var: VarId) -> Option<PlanParDetail> {
         match self.plans.get(var.index()) {
             Some(PlanSlot::Ready(p)) if p.generation == self.structure_generation => {
                 p.par.as_ref().map(|pp| PlanParDetail {
                     cones: pp.cones.len(),
                     max_task_exec: pp.max_task_exec as usize,
-                    last_stolen: pp.last_stolen,
                 })
             }
             _ => None,
@@ -2272,7 +2249,7 @@ impl Network {
         } else {
             self.parallel_threads
         };
-        let stolen = par_plan.replay(&mut self.slots, threads);
+        par_plan.replay(&mut self.slots, threads);
         // Merged final check over what the kernels left unproven. A
         // marked constraint needs no test: nothing can change one of its
         // arguments later in the replay without a later live step of the
@@ -2318,8 +2295,6 @@ impl Network {
         self.stats.cycles += 1;
         self.par_stats.plan_replays_parallel += 1;
         self.par_stats.cones_executed += par_plan.cones.len() as u64;
-        self.par_stats.cones_stolen += stolen;
-        par_plan.last_stolen = stolen;
         true
     }
 

@@ -18,7 +18,7 @@
 //! 2. executes the cones against a raw view of the value slots
 //!    ([`SlotsView`]) — inline on the calling thread when the costliest
 //!    cone is below the network's per-task floor, otherwise on a lazily
-//!    spawned global work-stealing pool ([`pool_run`]). Sharing the view
+//!    spawned global worker pool ([`pool_run`]). Sharing the view
 //!    is sound because the partition proves every variable is written
 //!    by at most one cone and read only by cones that also own it; debug
 //!    builds assert that proof on every slot access;
@@ -34,14 +34,17 @@
 //!
 //! The pool is hermetic (std threads + `Mutex`/`Condvar`, no
 //! dependencies) and global: engine workers share it, submitting jobs
-//! whose tasks helpers and submitter drain cooperatively.
+//! whose tasks the submitter and the helpers that join claim through one
+//! shared index. The cones are independent, so which executor runs which
+//! cone changes only wall-clock time: every counter in [`ParStats`] is as
+//! deterministic as the values.
 
 use crate::ids::{ConstraintId, VarId};
 use crate::justification::{DependencyRecord, Justification};
 use crate::network::{Network, ValueSlot};
 use crate::plan::{PlanOp, PropPlan};
 use crate::value::Value;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -68,11 +71,6 @@ pub struct ParStats {
     /// the plan has no partition (an unkernelable step or a non-plain
     /// write target), or the kernel attempt aborted (violation).
     pub parallel_fallbacks: u64,
-    /// Pool tasks (cones) claimed by an executor other than the owner of
-    /// their deque, summed over committed replays. Schedule-dependent:
-    /// this counter varies run to run and is excluded from determinism
-    /// digests and differential stats.
-    pub cones_stolen: u64,
 }
 
 /// A pure value computation mirroring the built-in
@@ -280,9 +278,6 @@ pub(crate) struct ParPlan {
     /// pool hand-off costs more than it buys and the kernels run inline
     /// on the calling thread.
     pub(crate) max_task_exec: u32,
-    /// Pool tasks stolen during the most recent committed replay of
-    /// this plan (diagnostic only — surfaced by the inspector).
-    pub(crate) last_stolen: u64,
     pub(crate) cones: Vec<ParCone>,
     /// Debug builds: the owning cone of every slot a cone writes
     /// ([`NO_OWNER`] elsewhere), indexed by variable — the disjoint-write
@@ -292,16 +287,16 @@ pub(crate) struct ParPlan {
 
 impl ParPlan {
     /// Runs every cone against `slots` — on the calling thread when
-    /// `threads <= 1`, otherwise across the worker pool — and returns the
-    /// number of cones stolen. The caller has already written the root.
-    pub(crate) fn replay(&mut self, slots: &mut [ValueSlot], threads: usize) -> u64 {
+    /// `threads <= 1`, otherwise across the worker pool. The caller has
+    /// already written the root.
+    pub(crate) fn replay(&mut self, slots: &mut [ValueSlot], threads: usize) {
         let view = SlotsView::new(slots, &self.owners);
         let strengths: &[u8] = &self.strengths;
         if threads <= 1 || self.cones.len() <= 1 {
             for cone in &mut self.cones {
                 run_cone(cone, &view, strengths);
             }
-            return 0;
+            return;
         }
         // Each task index is claimed exactly once, so every lock is
         // uncontended; the mutex only hands out the `&mut` safely.
@@ -311,7 +306,7 @@ impl ParPlan {
                 .lock()
                 .expect("each cone is locked once per replay, so never poisoned");
             run_cone(&mut cone, &view, strengths);
-        })
+        });
     }
 
     /// Whether any cone hit an overwrite denial this replay.
@@ -793,7 +788,6 @@ pub(crate) fn build_par(net: &Network, root: VarId, plan: &PropPlan) -> Option<B
     Some(Box::new(ParPlan {
         strengths: net.constraint_slot_strengths(),
         max_task_exec,
-        last_stolen: 0,
         cones,
         owners,
     }))
@@ -940,21 +934,17 @@ struct SendFnPtr(*const (dyn Fn(usize) + Sync));
 // reach it (see the type's doc).
 unsafe impl Send for SendFnPtr {}
 
-/// One submitted job: a closure plus per-executor work-stealing deques.
-/// Executor 0 is the submitter; helpers take slots 1.. as they join.
-/// Each executor pops its own deque from the back (LIFO — the task it
-/// was just handed, still cache-warm) and, when dry, sweeps the other
-/// deques from the front (FIFO — the oldest, least-contended work).
-/// Claims happen under the pool lock: on the hermetic target the lock is
-/// the synchronization point anyway, and completing a task under it
-/// gives the submitter a happens-before edge to every write the task
-/// made before `pool_run` returns.
+/// One submitted job: a closure plus one claim index. The submitter and
+/// every helper that joins claim the next unclaimed task index. Claims
+/// happen under the pool lock: on the hermetic target the lock is the
+/// synchronization point anyway, and completing a task under it gives
+/// the submitter a happens-before edge to every write the task made
+/// before `pool_run` returns.
 struct PoolJob {
     f: SendFnPtr,
-    /// Per-executor deques, filled contiguously at submit time.
-    queues: Vec<VecDeque<usize>>,
-    /// Tasks not yet claimed by any executor.
-    unclaimed: usize,
+    /// Next task index to hand out; tasks `next..n_tasks` are unclaimed.
+    next: usize,
+    n_tasks: usize,
     /// Claimed-or-unclaimed tasks not yet completed; the submitter
     /// returns only when this reaches zero.
     outstanding: usize,
@@ -962,33 +952,18 @@ struct PoolJob {
     cap: usize,
     /// Helpers currently inside the job.
     joined: usize,
-    /// Next executor slot to hand a joining helper (wraps over 1..).
-    next_exec: usize,
-    /// Tasks claimed by an executor other than their deque's owner.
-    stolen: u64,
     /// A task panicked (in a helper); the submitter re-raises.
     panicked: bool,
 }
 
 impl PoolJob {
-    /// Claims a task for executor `me`: own deque LIFO, then steal FIFO.
-    fn claim(&mut self, me: usize) -> Option<usize> {
-        if self.unclaimed == 0 {
+    /// Claims the next unclaimed task, if any.
+    fn claim(&mut self) -> Option<usize> {
+        if self.next >= self.n_tasks {
             return None;
         }
-        if let Some(t) = self.queues[me].pop_back() {
-            self.unclaimed -= 1;
-            return Some(t);
-        }
-        let nq = self.queues.len();
-        for d in 1..nq {
-            if let Some(t) = self.queues[(me + d) % nq].pop_front() {
-                self.unclaimed -= 1;
-                self.stolen += 1;
-                return Some(t);
-            }
-        }
-        None
+        self.next += 1;
+        Some(self.next - 1)
     }
 }
 
@@ -1051,23 +1026,18 @@ impl Pool {
         let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             // Find a job with unclaimed tasks and helper capacity, and
-            // take an executor slot in it (owning one of its deques).
+            // join it.
             let mut found = None;
             for (ji, slot) in guard.jobs.iter_mut().enumerate() {
                 if let Some(j) = slot {
-                    if j.joined < j.cap && j.unclaimed > 0 {
+                    if j.joined < j.cap && j.next < j.n_tasks {
                         j.joined += 1;
-                        let me = j.next_exec;
-                        j.next_exec += 1;
-                        if j.next_exec >= j.queues.len() {
-                            j.next_exec = 1;
-                        }
-                        found = Some((ji, me));
+                        found = Some(ji);
                         break;
                     }
                 }
             }
-            let Some((ji, me)) = found else {
+            let Some(ji) = found else {
                 guard = self.work_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
                 continue;
             };
@@ -1078,7 +1048,7 @@ impl Pool {
             // re-inspect the job under.
             loop {
                 let j = guard.jobs[ji].as_mut().expect("job alive while joined");
-                let Some(t) = j.claim(me) else {
+                let Some(t) = j.claim() else {
                     j.joined -= 1;
                     break;
                 };
@@ -1106,31 +1076,20 @@ impl Pool {
 }
 
 /// Runs `f(0..n_tasks)` across up to `threads` executors (the calling
-/// thread plus pool helpers), returning the number of tasks stolen —
-/// claimed by an executor other than the owner of the deque they were
-/// dealt to — once every task has completed. With `threads <= 1` or a
-/// single task, runs inline with no pool traffic (and no steals).
-/// Panics in tasks propagate to the caller after all tasks finish or
-/// are accounted for.
-pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync)) -> u64 {
+/// thread plus pool helpers) and returns once every task has completed.
+/// With `threads <= 1` or a single task, runs inline with no pool
+/// traffic. Panics in tasks propagate to the caller after all tasks
+/// finish or are accounted for.
+pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync)) {
     if threads <= 1 || n_tasks <= 1 {
         for t in 0..n_tasks {
             f(t);
         }
-        return 0;
+        return;
     }
     let pool = POOL.get_or_init(Pool::new);
     let helpers = (threads - 1).min(n_tasks - 1).min(MAX_POOL_WORKERS);
     pool.ensure_spawned(helpers);
-    // Deal tasks to the executor deques in contiguous blocks, in task
-    // order: executor 0 (the submitter) gets the first block, helper
-    // slots the rest. Stealing rebalances whatever the owners leave.
-    let n_queues = helpers + 1;
-    let mut queues: Vec<VecDeque<usize>> = Vec::with_capacity(n_queues);
-    queues.resize_with(n_queues, VecDeque::new);
-    for t in 0..n_tasks {
-        queues[t * n_queues / n_tasks].push_back(t);
-    }
     // SAFETY: only the lifetime is erased. The job slot holding the
     // pointer is cleared below, after `outstanding` reached zero, before
     // this function returns or unwinds (task panics are caught), so no
@@ -1140,13 +1099,11 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
         let mut guard = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         let job = PoolJob {
             f: SendFnPtr(f_static as *const _),
-            queues,
-            unclaimed: n_tasks,
+            next: 0,
+            n_tasks,
             outstanding: n_tasks,
             cap: helpers,
             joined: 0,
-            next_exec: 1,
-            stolen: 0,
             panicked: false,
         };
         match guard.jobs.iter().position(|s| s.is_none()) {
@@ -1161,13 +1118,13 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
         }
     };
     pool.work_cv.notify_all();
-    // Participate as executor 0: claim tasks alongside the helpers, then
-    // wait for the stragglers they still hold.
+    // Claim tasks alongside the helpers, then wait for the stragglers
+    // they still hold.
     let mut local_panic: Option<Box<dyn std::any::Any + Send>> = None;
     let mut guard = pool.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         let j = guard.jobs[ji].as_mut().expect("own job alive");
-        if let Some(t) = j.claim(0) {
+        if let Some(t) = j.claim() {
             drop(guard);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(t)));
             guard = pool.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1185,11 +1142,7 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
             break;
         }
     }
-    let (helper_panicked, stolen) = guard.jobs[ji]
-        .as_ref()
-        .map(|j| (j.panicked, j.stolen))
-        .unwrap_or((false, 0));
-    guard.jobs[ji] = None;
+    let helper_panicked = guard.jobs[ji].take().is_some_and(|j| j.panicked);
     drop(guard);
     if let Some(p) = local_panic {
         std::panic::resume_unwind(p);
@@ -1197,68 +1150,58 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
     if helper_panicked {
         panic!("parallel replay worker panicked");
     }
-    stolen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pool_runs_every_task_exactly_once() {
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let stolen = pool_run(100, 4, &|t| {
+        pool_run(100, 4, &|t| {
             hits[t].fetch_add(1, Ordering::Relaxed);
         });
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
-        assert!(stolen <= 100);
     }
 
     #[test]
-    fn pool_claims_own_deque_lifo_then_steals_fifo() {
-        let noop: &(dyn Fn(usize) + Sync) = &|_| {};
-        let mut job = PoolJob {
-            f: SendFnPtr(noop as *const _),
-            queues: vec![VecDeque::from(vec![0, 1, 2]), VecDeque::from(vec![3, 4, 5])],
-            unclaimed: 6,
-            outstanding: 6,
-            cap: 1,
-            joined: 0,
-            next_exec: 1,
-            stolen: 0,
-            panicked: false,
-        };
-        // Owners pop their own deques from the back.
-        assert_eq!(job.claim(0), Some(2));
-        assert_eq!(job.claim(1), Some(5));
-        assert_eq!(job.claim(0), Some(1));
-        assert_eq!(job.claim(0), Some(0));
-        assert_eq!(job.stolen, 0);
-        // Executor 0's deque is dry: it steals the oldest task from 1.
-        assert_eq!(job.claim(0), Some(3));
-        assert_eq!(job.stolen, 1);
-        assert_eq!(job.claim(1), Some(4));
-        assert_eq!(job.stolen, 1);
-        assert_eq!(job.claim(0), None);
-        assert_eq!(job.unclaimed, 0);
-    }
-
-    #[test]
-    fn pool_inline_paths_never_steal() {
-        assert_eq!(pool_run(1, 8, &|_| {}), 0);
-        assert_eq!(pool_run(5, 1, &|_| {}), 0);
+    fn pool_helpers_run_tasks() {
+        // Each task waits until the other has started, so the job only
+        // finishes if a helper claims one task while the submitter runs
+        // the other. If no helper ever claims, the submitter's task gives
+        // up at the deadline, and its panic fails the test.
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        pool_run(2, 2, &|t| {
+            started[t].store(true, Ordering::SeqCst);
+            while !started[1 - t].load(Ordering::SeqCst) {
+                assert!(
+                    Instant::now() < deadline,
+                    "task {t} ran alone: no helper claimed the other task"
+                );
+                std::thread::yield_now();
+            }
+        });
     }
 
     #[test]
     fn pool_inline_when_single_threaded() {
-        let hits = AtomicU64::new(0);
-        pool_run(7, 1, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 7);
+        // One thread, or a single task at any thread count, runs every
+        // task on the calling thread.
+        let caller = std::thread::current().id();
+        for (n_tasks, threads) in [(7, 1), (1, 8)] {
+            let hits = AtomicU64::new(0);
+            pool_run(n_tasks, threads, &|_| {
+                assert_eq!(std::thread::current().id(), caller);
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), n_tasks as u64);
+        }
     }
 
     #[test]

@@ -107,9 +107,6 @@ pub struct PlanParDetail {
     /// Executing steps in the costliest cone — what the pool floor
     /// compares against.
     pub max_task_exec: usize,
-    /// Pool tasks stolen during the most recent committed parallel
-    /// replay of this plan. Schedule-dependent; diagnostic only.
-    pub last_stolen: u64,
 }
 
 /// Public view of a root variable's plan-cache entry

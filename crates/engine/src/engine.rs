@@ -1199,13 +1199,12 @@ impl Worker {
     fn restore_session(&self, rs: RecoveredSession) -> Session {
         let base_seq = rs.seq - rs.tail.len() as u64;
         let (mut net, mut specs) = persist::restore_network(&rs.state, self.step_budget);
-        net.set_durability_label(persist::durability_label(self.mode));
         net.set_parallel_threads(self.propagation_threads);
         let mut applied = 0u64;
         for batch in &rs.tail {
             // Committed batches replay cleanly against the state they
             // committed on; a failure means corruption the checksums
-            // could not see — keep the prefix that did replay. The spec
+            // could not see — keep the batches that did replay. The spec
             // shadow follows only a batch that replayed, so the batch is
             // applied from a clone.
             if !replay_batch(&mut net, batch.clone()) {
@@ -1422,13 +1421,11 @@ impl Worker {
     fn session_entry(&mut self, id: SessionId) -> &mut Session {
         let counters = &self.counters;
         let step_budget = self.step_budget;
-        let mode = self.mode;
         let propagation_threads = self.propagation_threads;
         self.sessions.entry(id).or_insert_with(|| {
             counters.sessions_created.fetch_add(1, Ordering::Relaxed);
             let mut net = Network::new();
             net.set_step_limit(step_budget);
-            net.set_durability_label(persist::durability_label(mode));
             net.set_parallel_threads(propagation_threads);
             Session {
                 net,
@@ -1946,11 +1943,22 @@ fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), Ba
 type CommandFailure = (usize, stem_core::Violation);
 
 /// Validates and applies one logged batch: crash recovery and replica
-/// ingest both replay through here. `false` means the batch did not
-/// replay — corruption the checksums could not see, or a shipped stream
-/// that diverged from the leader's history.
+/// ingest both replay through here. The batch runs under the change
+/// journal, so one that fails part-way is undone whole. `false` means the
+/// batch did not replay — corruption the checksums could not see, or a
+/// shipped stream that diverged from the leader's history.
 fn replay_batch(net: &mut Network, commands: Vec<Command>) -> bool {
-    validate(net, &commands, false).is_ok() && apply_all(net, commands).is_ok()
+    if validate(net, &commands, false).is_err() {
+        return false;
+    }
+    net.begin_journal();
+    let replayed = apply_all(net, commands).is_ok();
+    if replayed {
+        net.commit_journal();
+    } else {
+        net.rollback_journal();
+    }
+    replayed
 }
 
 /// Applies a batch in order, consuming the commands: payloads (`Value`s,

@@ -99,17 +99,6 @@ impl fmt::Debug for DurabilityOptions {
     }
 }
 
-/// The inspector-visible label for a session's durability regime.
-pub(crate) fn durability_label(mode: Option<Durability>) -> &'static str {
-    match mode {
-        None => "volatile (in-memory only)",
-        Some(Durability::Off) => "recover-only (logging off)",
-        Some(Durability::CommitSync) => "commit-sync (fsync per commit)",
-        Some(Durability::IntervalSync { .. }) => "interval-sync (bounded loss window)",
-        Some(Durability::GroupCommit) => "group-commit (shared fsync per commit)",
-    }
-}
-
 // ---------------------------------------------------------------------
 // Spec shadow + checkpoint state
 // ---------------------------------------------------------------------

@@ -181,11 +181,6 @@ counter_table! {
         plan_replays_parallel = par.plan_replays_parallel,
         /// Cones executed by committed kernel replays, across all sessions.
         cones_executed = par.cones_executed,
-        /// Pool tasks claimed by a worker other than the one they were
-        /// dealt to (work stealing), summed over committed parallel
-        /// replays. Schedule-dependent — excluded from determinism
-        /// digests.
-        cones_stolen = par.cones_stolen,
         /// Cached replays that ran sequentially despite an enabled thread
         /// budget: a kernel-less kind or non-plain write target in the
         /// plan, or a kernel attempt that aborted (overwrite denial /
@@ -271,9 +266,6 @@ counter_table! {
         plan_replays_parallel = par.plan_replays_parallel,
         /// Cones executed by this session's committed kernel replays.
         cones_executed = par.cones_executed,
-        /// Pool tasks stolen during this session's committed parallel
-        /// replays. Schedule-dependent; diagnostic only.
-        cones_stolen = par.cones_stolen,
         /// Cached replays that ran sequentially despite the thread budget
         /// (kernel-less kind, non-plain write target, or an aborted kernel
         /// attempt).

@@ -4,6 +4,8 @@
 //! batch, a shipped segment and a store's log. None of them may reach the
 //! kind's constructor or its propagator, which index arguments by
 //! position, and none may take down the worker that owns the session.
+//! A shipped or logged batch that passes validation but fails while
+//! applying is undone whole: the session keeps only the batches before it.
 
 use stem_core::{Value, VarId};
 use stem_engine::{BatchError, Command, ConstraintSpec, Engine, EngineConfig, SessionId, Source};
@@ -96,9 +98,30 @@ fn submitting_a_malformed_domain_spec_is_an_invalid_command() {
     assert_eq!(engine.stats().panics, 0);
 }
 
-/// A store in `dir` whose log holds session 0's variables, then a batch
-/// installing `bad`, then a batch of session 1 behind it.
-fn log_with(dir: &TempDir, bad: Command) -> Store {
+/// Every batch that must not replay behind [`log_with`]'s first batch:
+/// one per malformed install, and one that validates but violates
+/// `x <= 5` after adding a variable.
+fn bad_batches() -> Vec<Vec<Command>> {
+    let mut batches: Vec<Vec<Command>> = malformed().into_iter().map(|c| vec![c]).collect();
+    batches.push(vec![add("b"), set(0, 10)]);
+    batches
+}
+
+/// The names of session `s`'s variables, in creation order.
+fn names(engine: &Engine, s: SessionId) -> Vec<String> {
+    match engine.apply(s, vec![Command::DumpValues]) {
+        Ok(out) => match &out.outputs[0] {
+            stem_engine::Output::Dump(rows) => rows.iter().map(|(name, ..)| name.clone()).collect(),
+            other => panic!("unexpected output {other:?}"),
+        },
+        Err(err) => panic!("dump failed: {err}"),
+    }
+}
+
+/// A store in `dir` whose log holds session 0's variables and an
+/// `x <= 5` check, then the batch `bad`, then a batch of session 1 behind
+/// it.
+fn log_with(dir: &TempDir, bad: Vec<Command>) -> Store {
     let (mut store, _) = Store::open(dir, StoreOptions::default()).unwrap();
     let batch = |session, seq, commands| WalRecord::Batch {
         session,
@@ -107,8 +130,21 @@ fn log_with(dir: &TempDir, bad: Command) -> Store {
         commands,
     };
     for rec in [
-        batch(0, 1, vec![add("x"), add("y"), add("z"), set(0, 4)]),
-        batch(0, 2, vec![bad]),
+        batch(
+            0,
+            1,
+            vec![
+                add("x"),
+                add("y"),
+                add("z"),
+                set(0, 4),
+                Command::AddConstraint {
+                    spec: ConstraintSpec::LeConst(Value::Int(5)),
+                    args: vec![var(0)],
+                },
+            ],
+        ),
+        batch(0, 2, bad),
         batch(1, 1, vec![add("w"), set(0, 9)]),
     ] {
         store.append(&rec).unwrap();
@@ -119,7 +155,7 @@ fn log_with(dir: &TempDir, bad: Command) -> Store {
 
 #[test]
 fn a_shipped_malformed_record_quarantines_its_session_only() {
-    for bad in malformed() {
+    for bad in bad_batches() {
         let dir = TempDir::new("malformed-ship");
         let mut store = log_with(&dir, bad);
         let sealed = store.seal_for_checkpoint().unwrap();
@@ -138,13 +174,14 @@ fn a_shipped_malformed_record_quarantines_its_session_only() {
         // The prefix before the bad record serves reads, and the shard
         // serves the session behind it.
         assert_eq!(value(&replica, SessionId(0), 0), Value::Int(4));
+        assert_eq!(names(&replica, SessionId(0)), ["x", "y", "z"]);
         assert_eq!(value(&replica, SessionId(1), 0), Value::Int(9));
     }
 }
 
 #[test]
 fn a_logged_malformed_record_is_a_short_replay_at_recovery() {
-    for bad in malformed() {
+    for bad in bad_batches() {
         let dir = TempDir::new("malformed-log");
         drop(log_with(&dir, bad));
         let engine = Engine::open_with_config(
@@ -155,6 +192,7 @@ fn a_logged_malformed_record_is_a_short_replay_at_recovery() {
         .expect("open");
         assert!(engine.session_stats(SessionId(0)).quarantined);
         assert_eq!(value(&engine, SessionId(0), 0), Value::Int(4));
+        assert_eq!(names(&engine, SessionId(0)), ["x", "y", "z"]);
         // The shard keeps serving: session 1 recovered and commits.
         assert!(!engine.session_stats(SessionId(1)).quarantined);
         engine
